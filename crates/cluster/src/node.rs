@@ -223,10 +223,10 @@ impl ClusterNode {
             .unwrap_or_else(PoisonError::into_inner);
         if incoming.epoch > cfg.epoch {
             *cfg = incoming.clone();
-            self.shared
-                .service
-                .api_metrics()
-                .set_counter("cluster_config_epoch", incoming.epoch);
+            // The series reads as the adopted epoch: epochs only grow,
+            // and this runs under the config write lock.
+            let epoch = self.shared.service.event_counter("cluster_config_epoch");
+            epoch.add(incoming.epoch.saturating_sub(epoch.get()));
             // Adopting the newer config clears a lagging-epoch readiness
             // objection (see `apply_replicate`).
             self.shared.service.set_cluster_epoch_ok(true);
@@ -407,15 +407,15 @@ impl ClusterNode {
             Ok(acks) => {
                 self.shared
                     .service
-                    .api_metrics()
-                    .bump("cluster_replicate_commits");
+                    .event_counter("cluster_replicate_commits")
+                    .inc();
                 resp.with_header("x-tsr-cluster-acks", &acks.to_string())
             }
             Err(e) => {
                 self.shared
                     .service
-                    .api_metrics()
-                    .bump("cluster_replicate_failures");
+                    .event_counter("cluster_replicate_failures")
+                    .inc();
                 envelope(
                     503,
                     "replication_failed",
@@ -469,8 +469,8 @@ impl ClusterNode {
                 Ok(_) | Err(_) => {
                     self.shared
                         .service
-                        .api_metrics()
-                        .bump("cluster_replica_failures");
+                        .event_counter("cluster_replica_failures")
+                        .inc();
                 }
             }
         }
@@ -589,9 +589,13 @@ impl ClusterNode {
                 }
             }
         }
-        let metrics = self.shared.service.api_metrics();
-        metrics.bump_by("cluster_anti_entropy_pulls", report.pulled as u64);
-        metrics.bump_by("cluster_anti_entropy_rejects", report.rejected as u64);
+        let service = &self.shared.service;
+        service
+            .event_counter("cluster_anti_entropy_pulls")
+            .add(report.pulled as u64);
+        service
+            .event_counter("cluster_anti_entropy_rejects")
+            .add(report.rejected as u64);
         report
     }
 

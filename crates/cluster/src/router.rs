@@ -39,8 +39,9 @@ fn unavailable(req: &Request, detail: &str) -> Response {
 }
 
 /// The shard key of a path, when it addresses one tenant:
-/// `/v1/repositories/{id}[/...]` (and the legacy `/repositories/...`
-/// shim) → `id`, percent-decoded.
+/// `/v1/repositories/{id}[/...]` (and the apk-layout
+/// `/repositories/{id}/...` a package manager fetches) → `id`,
+/// percent-decoded.
 fn shard_of(path: &str) -> Option<String> {
     let (path, _) = split_query(path);
     let rest = path

@@ -1,27 +1,35 @@
-//! The HTTP API layer: the versioned `/v1` JSON surface, the legacy
-//! plain-text shim, per-route metrics, and the error-code mapping.
+//! The HTTP API layer: the versioned `/v1` JSON surface, its request
+//! and event counters, and the error-code mapping.
 //!
 //! Request flow (see `ARCHITECTURE.md`, "The API layer"):
 //!
 //! ```text
 //! socket → middleware chain → route table → operation → TsrService
 //!          (panic guard,       (static       (this       (domain
-//!           request-id,         Router<Op>)   module)     logic)
+//!           request-id,         Router)       module)     logic)
 //!           access log,
 //!           rate limit,
 //!           body limit)
 //! ```
 //!
-//! The route table is a process-wide [`Router`]`<Op>` built once: routes
-//! map to `Op` values rather than closures, so the table carries no
-//! per-service state and [`TsrService::handle`] stays cheap. Per-route
-//! request counters live in the service's shared state and are exposed at
-//! `GET /v1/metrics`.
+//! The route table is a process-wide [`Router`] built once: rows carry
+//! an `Op` and a precomputed `"METHOD /pattern"` label rather than
+//! closures, so the table holds no per-service state and
+//! [`TsrService::handle`] stays cheap. Each service counts its requests
+//! per row and status into `tsr_http_requests_total{route,status}` of
+//! its metric registry (served at `GET /v1/metrics`).
+//!
+//! Two rows sit outside `/v1`: `GET /repositories/:id/APKINDEX` and
+//! `GET /repositories/:id/packages/:name`, the apk repository layout a
+//! package manager fetches from any mirror. They dispatch to the same
+//! index and package operations as their `/v1` rows — the paper's TSR
+//! is transparent to package managers, so `{base}/repositories/{id}`
+//! works as a repository URL.
 //!
 //! # Error contract
 //!
 //! Every [`CoreError`] variant maps to one stable HTTP status and one
-//! machine-readable code, in **both** the v1 and the legacy surface:
+//! machine-readable code:
 //!
 //! | `CoreError` | status | code |
 //! |---|---|---|
@@ -33,25 +41,24 @@
 //! | `SealedState` | 500 | `sealed_state_error` |
 //! | `NotFound` | 404 | `not_found` |
 //!
-//! v1 responses carry the envelope as an `application/json` body
+//! Every error response — unknown routes and wrong methods included —
+//! carries the envelope as an `application/json` body
 //! (`{"code":…,"message":…,"detail":…,"request_id":…}` — the
 //! `request_id` comes from the request scope the middleware installs,
-//! so a client can quote it and the operator can grep the access log);
-//! legacy responses keep their plain-text bodies and expose the code in
-//! an `x-tsr-error-code` header.
+//! so a client can quote it and the operator can grep the access log).
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 use crate::error::CoreError;
+use crate::hot::Slot;
 use crate::repository::RefreshReport;
 use crate::service::TsrService;
 use tsr_crypto::hex;
-use tsr_crypto::Sha256;
-use tsr_http::middleware::{ROUTE_HEADER, TENANT_HEADER};
+use tsr_http::middleware::{ROUTE_HEADER, TENANT_HEADER, UNMATCHED_ROUTE};
 use tsr_http::router::{Params, Recognized, Router};
 use tsr_http::{etag_matches, Request, Response};
-use tsr_obs::Counter;
+use tsr_obs::{Counter, CounterVec, Registry};
+use tsr_store::StoreEngine;
 use tsr_wire::dto::{
     CreateRepositoryRequest, ErrorEnvelope, HealthDto, MetricsDto, PackageEntryDto, PackagePage,
     PhaseTimingsDto, RefreshReportDto, RejectedPackageDto, RepositoryCreated, RepositoryInfo,
@@ -63,197 +70,186 @@ const DEFAULT_PAGE_LIMIT: u64 = 100;
 /// Hard cap on the page size.
 const MAX_PAGE_LIMIT: u64 = 1000;
 
-/// Typed lock-free counters for the handful of event names that sit on
-/// the request hot path. These started life as string-keyed
-/// [`ApiMetrics::bump`] names; a typed handle replaces the map lock and
-/// per-request string allocation with one relaxed atomic add. The old
-/// names still appear under `counters` in `/v1/metrics` (merged from
-/// these atomics at snapshot time), so nothing scraping the JSON
-/// surface notices the change.
-#[derive(Debug, Default)]
-pub struct HotCounters {
-    /// 304s answered from the ETag side cache without a shard lock.
-    pub index_not_modified_lock_free: Counter,
-    /// Full index GETs served as shared bytes from the hot-blob cache.
-    pub index_hot_blob_hits: Counter,
-    /// Index reads that had to take the repository shard lock.
-    pub index_locked_reads: Counter,
-    /// Package GETs served from the hot-blob cache.
-    pub package_hot_blob_hits: Counter,
-}
-
-impl HotCounters {
-    fn by_name(&self, name: &str) -> Option<&Counter> {
-        match name {
-            "index_not_modified_lock_free" => Some(&self.index_not_modified_lock_free),
-            "index_hot_blob_hits" => Some(&self.index_hot_blob_hits),
-            "index_locked_reads" => Some(&self.index_locked_reads),
-            "package_hot_blob_hits" => Some(&self.package_hot_blob_hits),
-            _ => None,
-        }
-    }
-
-    fn all(&self) -> [(&'static str, &Counter); 4] {
-        [
-            (
-                "index_not_modified_lock_free",
-                &self.index_not_modified_lock_free,
-            ),
-            ("index_hot_blob_hits", &self.index_hot_blob_hits),
-            ("index_locked_reads", &self.index_locked_reads),
-            ("package_hot_blob_hits", &self.package_hot_blob_hits),
-        ]
-    }
-}
-
-/// Per-route request counters (route pattern → status → count) plus
-/// named event counters for paths the load-contract tests must observe
-/// (e.g. how many 304s were answered without touching a repository
-/// shard lock). The hottest event names live in typed atomics
-/// ([`HotCounters`]); the rest stay in the string-keyed map.
-#[derive(Debug, Default)]
-pub struct ApiMetrics {
-    requests: Mutex<BTreeMap<String, BTreeMap<u16, u64>>>,
-    counters: Mutex<BTreeMap<String, u64>>,
-    hot: HotCounters,
-}
-
-impl ApiMetrics {
-    fn record(&self, route: &str, status: u16) {
-        let mut map = self.requests.lock().unwrap_or_else(PoisonError::into_inner);
-        *map.entry(route.to_string())
-            .or_default()
-            .entry(status)
-            .or_insert(0) += 1;
-    }
-
-    /// Increments the named event counter.
-    pub fn bump(&self, name: &str) {
-        self.bump_by(name, 1);
-    }
-
-    /// Increments the named event counter by `n`.
-    pub fn bump_by(&self, name: &str, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if let Some(c) = self.hot.by_name(name) {
-            c.add(n);
-            return;
-        }
-        let mut map = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
-        *map.entry(name.to_string()).or_insert(0) += n;
-    }
-
-    /// The typed hot-path counters.
-    pub fn hot(&self) -> &HotCounters {
-        &self.hot
-    }
-
-    /// Sets a named counter to an absolute value — used to mirror
-    /// cumulative counters owned elsewhere (the storage engine's WAL and
-    /// snapshot counters) into the `/v1/metrics` snapshot.
-    pub fn set_counter(&self, name: &str, value: u64) {
-        let mut map = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
-        map.insert(name.to_string(), value);
-    }
-
-    /// The current value of a named event counter (0 if never bumped).
-    pub fn counter(&self, name: &str) -> u64 {
-        if let Some(c) = self.hot.by_name(name) {
-            return c.get();
-        }
-        self.counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(name)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// A snapshot of all counters as the wire DTO. Typed hot counters
-    /// are merged in under their original names (omitted while zero, so
-    /// the map keeps its "absent until first bump" shape).
-    pub fn snapshot(&self) -> MetricsDto {
-        let mut counters = self
-            .counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        for (name, c) in self.hot.all() {
-            let v = c.get();
-            if v > 0 {
-                counters.insert(name.to_string(), v);
-            }
-        }
-        MetricsDto {
-            requests: self
-                .requests
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone(),
-            counters,
-        }
-    }
-
-    /// A snapshot of the per-route status counts (route pattern →
-    /// status → count), for the Prometheus exposition.
-    pub(crate) fn requests_snapshot(&self) -> BTreeMap<String, BTreeMap<u16, u64>> {
-        self.requests
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-}
-
-/// Every operation the API exposes. Routes carry an `Op`, not a closure,
-/// so the route table is process-wide static data.
+/// Every operation the API exposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
-    V1Health,
-    V1Ready,
-    V1Metrics,
-    V1CreateRepository,
-    V1ListRepositories,
-    V1RepositoryInfo,
-    V1DeleteRepository,
-    V1Refresh,
-    V1Index,
-    V1Packages,
-    V1Package,
-    V1Attest,
-    LegacyCreateRepository,
-    LegacyRefresh,
-    LegacyIndex,
-    LegacyPackage,
-    LegacyAttest,
+    Health,
+    Ready,
+    Metrics,
+    CreateRepository,
+    ListRepositories,
+    RepositoryInfo,
+    DeleteRepository,
+    Refresh,
+    Index,
+    Packages,
+    Package,
+    Attest,
 }
 
-fn routes() -> &'static Router<Op> {
-    static ROUTES: OnceLock<Router<Op>> = OnceLock::new();
+/// The route table: `(method, pattern, operation)`.
+const TABLE: &[(&str, &str, Op)] = &[
+    ("GET", "/v1/healthz", Op::Health),
+    ("GET", "/v1/readyz", Op::Ready),
+    ("GET", "/v1/metrics", Op::Metrics),
+    ("POST", "/v1/repositories", Op::CreateRepository),
+    ("GET", "/v1/repositories", Op::ListRepositories),
+    ("GET", "/v1/repositories/:id", Op::RepositoryInfo),
+    ("DELETE", "/v1/repositories/:id", Op::DeleteRepository),
+    ("POST", "/v1/repositories/:id/refresh", Op::Refresh),
+    ("GET", "/v1/repositories/:id/index", Op::Index),
+    ("GET", "/v1/repositories/:id/packages", Op::Packages),
+    ("GET", "/v1/repositories/:id/packages/:name", Op::Package),
+    ("GET", "/v1/attestation/:nonce", Op::Attest),
+    // The apk repository layout, for package managers.
+    ("GET", "/repositories/:id/APKINDEX", Op::Index),
+    ("GET", "/repositories/:id/packages/:name", Op::Package),
+];
+
+/// One compiled row of [`TABLE`].
+struct Route {
+    op: Op,
+    /// `"METHOD /pattern"`: the `route` label the row is counted,
+    /// timed and logged under.
+    label: String,
+    /// The row's number: its slot in [`Metrics::by_route`].
+    slot: usize,
+}
+
+fn routes() -> &'static Router<Route> {
+    static ROUTES: OnceLock<Router<Route>> = OnceLock::new();
     ROUTES.get_or_init(|| {
         let mut r = Router::new();
-        // v1 surface.
-        r.route("GET", "/v1/healthz", Op::V1Health)
-            .route("GET", "/v1/readyz", Op::V1Ready)
-            .route("GET", "/v1/metrics", Op::V1Metrics)
-            .route("POST", "/v1/repositories", Op::V1CreateRepository)
-            .route("GET", "/v1/repositories", Op::V1ListRepositories)
-            .route("GET", "/v1/repositories/:id", Op::V1RepositoryInfo)
-            .route("DELETE", "/v1/repositories/:id", Op::V1DeleteRepository)
-            .route("POST", "/v1/repositories/:id/refresh", Op::V1Refresh)
-            .route("GET", "/v1/repositories/:id/index", Op::V1Index)
-            .route("GET", "/v1/repositories/:id/packages", Op::V1Packages)
-            .route("GET", "/v1/repositories/:id/packages/:name", Op::V1Package)
-            .route("GET", "/v1/attestation/:nonce", Op::V1Attest);
-        // Legacy plain-text surface (byte-compatible bodies).
-        r.route("POST", "/repositories", Op::LegacyCreateRepository)
-            .route("POST", "/repositories/:id/refresh", Op::LegacyRefresh)
-            .route("GET", "/repositories/:id/APKINDEX", Op::LegacyIndex)
-            .route("GET", "/repositories/:id/packages/:name", Op::LegacyPackage)
-            .route("GET", "/attestation/:nonce", Op::LegacyAttest);
+        for (slot, (method, pattern, op)) in TABLE.iter().enumerate() {
+            let label = format!("{method} {pattern}");
+            r.route(
+                method,
+                pattern,
+                Route {
+                    op: *op,
+                    label,
+                    slot,
+                },
+            );
+        }
         r
     })
+}
+
+/// The `tsr_http_requests_total` handles of one route: one lazily
+/// fetched series per HTTP status (100–599).
+type StatusCounters = [OnceLock<Counter>; 500];
+
+/// One service's handles into the two counter families of its metric
+/// registry that the API feeds: `tsr_http_requests_total{route,status}`
+/// and `tsr_core_events_total{event}` (the `requests` and `counters`
+/// maps of `GET /v1/metrics`). Counting through a handle is one relaxed
+/// atomic add.
+pub(crate) struct Metrics {
+    requests: CounterVec,
+    /// One slot per row of [`TABLE`], then one for [`UNMATCHED_ROUTE`].
+    by_route: Vec<StatusCounters>,
+    events: CounterVec,
+    /// 304s answered from the serve cache without a shard lock.
+    pub(crate) index_not_modified_lock_free: Counter,
+    /// Full index GETs served as shared bytes from the serve cache.
+    pub(crate) index_hot_blob_hits: Counter,
+    /// Index reads that had to take the repository shard lock.
+    pub(crate) index_locked_reads: Counter,
+    /// Package GETs served from the serve cache.
+    pub(crate) package_hot_blob_hits: Counter,
+    /// Serve-cache entries whose blobs were dropped to fit the budget.
+    pub(crate) hot_blob_evictions: Counter,
+    /// Replicated states applied from a cluster peer.
+    pub(crate) cluster_replicated_applies: Counter,
+    /// The storage engine's cumulative counters, in engine field order.
+    store: [Counter; 4],
+}
+
+impl Metrics {
+    /// Registers both families in `registry` and fetches the handles.
+    pub(crate) fn new(registry: &Registry) -> Self {
+        let requests = registry.counter_vec(
+            "tsr_http_requests_total",
+            "Requests by matched route pattern and status.",
+            &["route", "status"],
+        );
+        let events = registry.counter_vec(
+            "tsr_core_events_total",
+            "Named core event counters (the `counters` map of GET /v1/metrics).",
+            &["event"],
+        );
+        let event = |name| events.with(&[name]);
+        Metrics {
+            by_route: (0..=TABLE.len())
+                .map(|_| std::array::from_fn(|_| OnceLock::new()))
+                .collect(),
+            index_not_modified_lock_free: event("index_not_modified_lock_free"),
+            index_hot_blob_hits: event("index_hot_blob_hits"),
+            index_locked_reads: event("index_locked_reads"),
+            package_hot_blob_hits: event("package_hot_blob_hits"),
+            hot_blob_evictions: event("hot_blob_evictions"),
+            cluster_replicated_applies: event("cluster_replicated_applies"),
+            store: [
+                event("wal_appends"),
+                event("wal_bytes"),
+                event("snapshot_writes"),
+                event("recovery_replayed_records"),
+            ],
+            requests,
+            events,
+        }
+    }
+
+    /// The handle of one named event series.
+    pub(crate) fn event(&self, name: &str) -> Counter {
+        self.events.with(&[name])
+    }
+
+    /// Counts one request answered with `status` under `route`, the
+    /// label of slot `slot`.
+    fn count(&self, slot: usize, route: &str, status: u16) {
+        let fetch = || self.requests.with(&[route, &status.to_string()]);
+        match self.by_route[slot].get(usize::from(status).wrapping_sub(100)) {
+            Some(cell) => cell.get_or_init(fetch).inc(),
+            None => fetch().inc(),
+        }
+    }
+
+    /// Advances the store series by what `engine`'s own cumulative
+    /// counters moved since the last call. Call with the engine lock
+    /// held, so concurrent callers cannot add the same delta twice.
+    pub(crate) fn count_store(&self, engine: &StoreEngine) {
+        let c = engine.counters();
+        let now = [
+            c.wal_appends,
+            c.wal_bytes,
+            c.snapshot_writes,
+            c.recovery_replayed_records,
+        ];
+        for (series, now) in self.store.iter().zip(now) {
+            series.add(now.saturating_sub(series.get()));
+        }
+    }
+
+    /// Both families as the JSON view of `GET /v1/metrics`.
+    fn snapshot(&self) -> MetricsDto {
+        let mut dto = MetricsDto::default();
+        for (labels, count) in self.requests.snapshot() {
+            // `count` is the only writer of this family: two labels,
+            // the second a status code.
+            let [route, status] = labels.as_slice() else {
+                continue;
+            };
+            let Ok(status) = status.parse() else { continue };
+            let by_status = dto.requests.entry(route.clone()).or_default();
+            by_status.insert(status, count);
+        }
+        for (mut labels, count) in self.events.snapshot() {
+            dto.counters.insert(labels.remove(0), count);
+        }
+        dto
+    }
 }
 
 /// Status + machine-readable code of one [`CoreError`].
@@ -284,17 +280,10 @@ fn envelope(status: u16, code: &str, message: &str, detail: &str) -> Response {
     Response::json(status, body)
 }
 
-/// A v1 error response: the uniform JSON envelope.
-fn v1_error(e: &CoreError, detail: &str) -> Response {
+/// The envelope of one [`CoreError`].
+fn core_error(e: &CoreError, detail: &str) -> Response {
     let (status, code) = error_status(e);
     envelope(status, code, &e.to_string(), detail)
-}
-
-/// A legacy error response: plain-text body (as before), but with the
-/// variant's stable status and the machine-readable code in a header.
-fn legacy_error(e: &CoreError) -> Response {
-    let (status, code) = error_status(e);
-    Response::text(status, &e.to_string()).with_header("x-tsr-error-code", code)
 }
 
 fn report_to_dto(report: &RefreshReport) -> RefreshReportDto {
@@ -335,73 +324,55 @@ fn report_to_dto(report: &RefreshReport) -> RefreshReportDto {
     }
 }
 
-/// Quoted strong ETag over a byte blob.
-fn etag_for(bytes: &[u8]) -> String {
-    format!("\"{}\"", hex::to_hex(&Sha256::digest(bytes)))
-}
-
 /// Routes one request: recognize, dispatch, count.
 pub(crate) fn handle(svc: &TsrService, req: &Request) -> Response {
-    match routes().recognize(&req.method, &req.path) {
+    // Telemetry files a response without a route header under the same
+    // label, so a node's request and latency counts agree.
+    let unmatched = |resp| (TABLE.len(), UNMATCHED_ROUTE, resp);
+    let (slot, label, resp) = match routes().recognize(&req.method, &req.path) {
         Recognized::Match(m) => {
-            let resp = dispatch(svc, *m.value, &m.params, req);
-            let label = format!("{} {}", req.method.to_ascii_uppercase(), m.pattern);
-            svc.api_metrics().record(&label, resp.status);
+            let Route { op, label, slot } = m.value;
             // Tell the middleware which route pattern (and tenant) this
             // was: Telemetry keys its latency histogram on the pattern
             // (bounded label cardinality), AccessLog logs both and
             // strips the headers before the bytes hit the wire.
-            let resp = resp.with_header(ROUTE_HEADER, &label);
-            match m.params.get("id") {
+            let resp = dispatch(svc, *op, &m.params, req).with_header(ROUTE_HEADER, label);
+            let resp = match m.params.get("id") {
                 Some(tenant) if !tenant.is_empty() => resp.with_header(TENANT_HEADER, tenant),
                 _ => resp,
-            }
+            };
+            (*slot, label.as_str(), resp)
         }
         Recognized::MethodNotAllowed(allow) => {
-            if !req.path.starts_with("/v1/") {
-                // Legacy clients never saw 405s — keep the pre-router
-                // plain-text 404 shape outside /v1.
-                return Response::not_found("unknown route");
-            }
             let allow = allow.join(", ");
-            envelope(
+            let resp = envelope(
                 405,
                 "method_not_allowed",
                 "method not allowed for this path",
                 &format!("allowed: {allow}"),
-            )
-            .with_header("allow", &allow)
+            );
+            unmatched(resp.with_header("allow", &allow))
         }
-        Recognized::NotFound => {
-            if req.path.starts_with("/v1/") {
-                envelope(404, "not_found", "unknown route", &req.path)
-            } else {
-                // Byte-compatible with the pre-router behaviour.
-                Response::not_found("unknown route")
-            }
-        }
-    }
+        Recognized::NotFound => unmatched(envelope(404, "not_found", "unknown route", &req.path)),
+    };
+    svc.metrics().count(slot, label, resp.status);
+    resp
 }
 
 fn dispatch(svc: &TsrService, op: Op, params: &Params, req: &Request) -> Response {
     match op {
-        Op::V1Health => v1_health(svc),
-        Op::V1Ready => v1_ready(svc),
-        Op::V1Metrics => v1_metrics(svc, params),
-        Op::V1CreateRepository => v1_create_repository(svc, req),
-        Op::V1ListRepositories => v1_list_repositories(svc),
-        Op::V1RepositoryInfo => v1_repository_info(svc, param(params, "id")),
-        Op::V1DeleteRepository => v1_delete_repository(svc, param(params, "id")),
-        Op::V1Refresh => v1_refresh(svc, param(params, "id")),
-        Op::V1Index => v1_index(svc, param(params, "id"), req),
-        Op::V1Packages => v1_packages(svc, param(params, "id"), params),
-        Op::V1Package => v1_package(svc, param(params, "id"), param(params, "name"), req),
-        Op::V1Attest => v1_attest(svc, param(params, "nonce")),
-        Op::LegacyCreateRepository => legacy_create_repository(svc, req),
-        Op::LegacyRefresh => legacy_refresh(svc, param(params, "id")),
-        Op::LegacyIndex => legacy_index(svc, param(params, "id")),
-        Op::LegacyPackage => legacy_package(svc, param(params, "id"), param(params, "name")),
-        Op::LegacyAttest => legacy_attest(svc, param(params, "nonce")),
+        Op::Health => v1_health(svc),
+        Op::Ready => v1_ready(svc),
+        Op::Metrics => v1_metrics(svc, params),
+        Op::CreateRepository => v1_create_repository(svc, req),
+        Op::ListRepositories => v1_list_repositories(svc),
+        Op::RepositoryInfo => v1_repository_info(svc, param(params, "id")),
+        Op::DeleteRepository => v1_delete_repository(svc, param(params, "id")),
+        Op::Refresh => v1_refresh(svc, param(params, "id")),
+        Op::Index => v1_index(svc, param(params, "id"), req),
+        Op::Packages => v1_packages(svc, param(params, "id"), params),
+        Op::Package => v1_package(svc, param(params, "id"), param(params, "name"), req),
+        Op::Attest => v1_attest(svc, param(params, "nonce")),
     }
 }
 
@@ -410,7 +381,7 @@ fn param<'p>(params: &'p Params, name: &str) -> &'p str {
 }
 
 // ---------------------------------------------------------------------------
-// v1 operations
+// Operations
 // ---------------------------------------------------------------------------
 
 fn v1_health(svc: &TsrService) -> Response {
@@ -439,7 +410,7 @@ fn v1_metrics(svc: &TsrService, params: &Params) -> Response {
             "text/plain; version=0.0.4; charset=utf-8",
             svc.render_prometheus().into_bytes(),
         ),
-        None | Some("json") => Response::json(200, svc.api_metrics().snapshot().encode()),
+        None | Some("json") => Response::json(200, svc.metrics().snapshot().encode()),
         Some(other) => envelope(
             400,
             "invalid_query",
@@ -471,7 +442,7 @@ fn v1_create_repository(svc: &TsrService, req: &Request) -> Response {
             }
             .encode(),
         ),
-        Err(e) => v1_error(&e, "create_repository"),
+        Err(e) => core_error(&e, "create_repository"),
     }
 }
 
@@ -500,73 +471,65 @@ fn v1_list_repositories(svc: &TsrService) -> Response {
 fn v1_repository_info(svc: &TsrService, id: &str) -> Response {
     match repository_summary(svc, id) {
         Ok(info) => Response::json(200, info.encode()),
-        Err(e) => v1_error(&e, id),
+        Err(e) => core_error(&e, id),
     }
 }
 
 fn v1_delete_repository(svc: &TsrService, id: &str) -> Response {
     match svc.delete_repository(id) {
         Ok(()) => Response::no_content(),
-        Err(e) => v1_error(&e, id),
+        Err(e) => core_error(&e, id),
     }
 }
 
 fn v1_refresh(svc: &TsrService, id: &str) -> Response {
     match svc.refresh(id) {
         Ok(report) => Response::json(200, report_to_dto(&report).encode()),
-        Err(e) => v1_error(&e, id),
+        Err(e) => core_error(&e, id),
     }
 }
 
 fn v1_index(svc: &TsrService, id: &str, req: &Request) -> Response {
-    // Lock-bypass fast paths: the service mirrors each repository's
-    // current index ETag into a side cache that is kept in lockstep
-    // under the shard lock at every mutation point — and, since the
-    // reactor rewrite, the signed index *bytes* themselves as a shared
-    // allocation. A conditional re-fetch — the request a polling package
-    // manager sends most — answers 304 from the cache alone, and a full
-    // GET of an unchanged index serves `Body::Shared` bytes: no shard
-    // lock, no clone, straight into the reactor's vectored writer.
-    if let Some(etag) = svc.cached_index_etag(id) {
-        if etag_matches(req, &etag) {
-            svc.api_metrics().hot().index_not_modified_lock_free.inc();
-            return Response::not_modified(&etag);
+    // Lock-bypass fast paths: the serve cache holds each repository's
+    // published index ETag and, once a read has warmed them, the signed
+    // index *bytes* as a shared allocation. A conditional re-fetch — the
+    // request a polling package manager sends most — answers 304 from
+    // the cache alone, and a full GET of an unchanged index serves
+    // `Body::Shared` bytes: no shard lock, no clone, straight into the
+    // reactor's vectored writer.
+    let metrics = svc.metrics();
+    let cached = svc.hot().lookup(id, |entry| {
+        let etag = entry.index_etag();
+        if etag_matches(req, etag) {
+            metrics.index_not_modified_lock_free.inc();
+            return Some(Response::not_modified(etag));
         }
-        if let Some((etag, blob)) = svc.cached_hot_index(id) {
-            svc.api_metrics().hot().index_hot_blob_hits.inc();
-            return Response::shared(blob).with_etag(&etag);
-        }
+        let blob = entry.index()?;
+        metrics.index_hot_blob_hits.inc();
+        Some(Response::shared(Arc::clone(blob)).with_etag(etag))
+    });
+    if let Some(resp) = cached.flatten() {
+        return resp;
     }
-    svc.api_metrics().hot().index_locked_reads.inc();
-    // Slow path takes the shard lock; the repository keeps the signed
-    // index's ETag in lockstep with the blob, so even here a 304 costs
-    // no cloning or hashing.
-    let result = svc.with_repository(id, |repo| match repo.signed_index_etag() {
-        Some(etag) if etag_matches(req, etag) => Ok(Response::not_modified(etag)),
-        _ => repo.serve_index().map(|blob| {
-            let etag = repo
-                .signed_index_etag()
-                .map(str::to_string)
-                .unwrap_or_else(|| etag_for(&blob));
-            let shared: Arc<[u8]> = Arc::from(blob.into_boxed_slice());
-            Response::shared(shared).with_etag(&etag)
-        }),
+    metrics.index_locked_reads.inc();
+    let result = svc.with_repository(id, |repo| {
+        let blob: Arc<[u8]> = repo.serve_index()?.into();
+        // A served index always has its ETag (see `signed_index_etag`).
+        let etag = repo.signed_index_etag().unwrap_or_default().to_string();
+        Ok((etag, blob))
     });
     match result {
-        Ok(Ok(resp)) => {
-            // Warm the caches with what was just served: the ETag always,
-            // the shared bytes when this was a full 200.
-            svc.store_index_etag(id, resp.headers.get("etag").map(String::as_str));
-            if resp.status == 200 {
-                if let (Some(etag), tsr_http::Body::Shared(blob)) =
-                    (resp.headers.get("etag"), &resp.body)
-                {
-                    svc.store_hot_index(id, etag, Arc::clone(blob));
-                }
+        Ok(Ok((etag, blob))) => {
+            // Offer what was read; the cache keeps it only if `etag` is
+            // still the published version.
+            svc.hot().warm(id, &etag, Slot::Index, Arc::clone(&blob));
+            if etag_matches(req, &etag) {
+                Response::not_modified(&etag)
+            } else {
+                Response::shared(blob).with_etag(&etag)
             }
-            resp
         }
-        Ok(Err(e)) | Err(e) => v1_error(&e, id),
+        Ok(Err(e)) | Err(e) => core_error(&e, id),
     }
 }
 
@@ -605,7 +568,7 @@ fn v1_packages(svc: &TsrService, id: &str, params: &Params) -> Response {
     });
     match page {
         Ok(Ok(page)) => Response::json(200, page.encode()),
-        Ok(Err(e)) | Err(e) => v1_error(&e, id),
+        Ok(Err(e)) | Err(e) => core_error(&e, id),
     }
 }
 
@@ -624,16 +587,23 @@ fn parse_query_u64(params: &Params, name: &str, default: u64) -> Result<u64, Res
 }
 
 fn v1_package(svc: &TsrService, id: &str, name: &str, req: &Request) -> Response {
-    // Zero-copy fast path: a blob already served under the *current*
-    // index version answers straight from the hot cache — no shard
-    // lock, no re-verification, no clone.
-    if let Some((etag, blob)) = svc.cached_hot_package(id, name) {
-        svc.api_metrics().hot().package_hot_blob_hits.inc();
-        return if etag_matches(req, &etag) {
-            Response::not_modified(&etag)
+    let respond = |etag: &str, blob: &Arc<[u8]>| {
+        if etag_matches(req, etag) {
+            Response::not_modified(etag)
         } else {
-            Response::shared(blob).with_etag(&etag)
-        };
+            Response::shared(Arc::clone(blob)).with_etag(etag)
+        }
+    };
+    // Zero-copy fast path: a blob already served under the *current*
+    // index version answers straight from the serve cache — no shard
+    // lock, no re-verification, no clone.
+    let cached = svc.hot().lookup(id, |entry| {
+        let (etag, blob) = entry.package(name)?;
+        Some(respond(etag, blob))
+    });
+    if let Some(resp) = cached.flatten() {
+        svc.metrics().package_hot_blob_hits.inc();
+        return resp;
     }
     // The index entry's content_hash IS the SHA-256 of the sanitized blob
     // (serve_package verifies the cached bytes against it), so the ETag
@@ -654,18 +624,13 @@ fn v1_package(svc: &TsrService, id: &str, name: &str, req: &Request) -> Response
     });
     match result {
         Ok(Ok((blob, etag, index_etag))) => {
-            // Warm the hot cache, versioned by the index ETag current at
-            // read time (stale stores are validated away on read).
             if let Some(index_etag) = index_etag {
-                svc.store_hot_package(id, &index_etag, name, &etag, Arc::clone(&blob));
+                let slot = Slot::Package { name, etag: &etag };
+                svc.hot().warm(id, &index_etag, slot, Arc::clone(&blob));
             }
-            if etag_matches(req, &etag) {
-                Response::not_modified(&etag)
-            } else {
-                Response::shared(blob).with_etag(&etag)
-            }
+            respond(&etag, &blob)
         }
-        Ok(Err(e)) | Err(e) => v1_error(&e, &format!("{id}/{name}")),
+        Ok(Err(e)) | Err(e) => core_error(&e, &format!("{id}/{name}")),
     }
 }
 
@@ -687,53 +652,279 @@ fn v1_attest(svc: &TsrService, nonce_hex: &str) -> Response {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Legacy operations (thin shim; success bodies byte-compatible)
-// ---------------------------------------------------------------------------
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
 
-fn legacy_create_repository(svc: &TsrService, req: &Request) -> Response {
-    let text = String::from_utf8_lossy(&req.body);
-    match svc.create_repository(&text) {
-        Ok((id, pem)) => Response::ok(format!("{id}\n{pem}").into_bytes()),
-        Err(e) => legacy_error(&e),
+    use tsr_http::Request;
+
+    use crate::service::tests::{api_request, policy_text, service};
+
+    #[test]
+    fn hot_blob_cache_shares_bytes_and_invalidates_with_the_index() {
+        let svc = service();
+        let (id, _pem) = svc.create_repository(&policy_text()).unwrap();
+        svc.refresh(&id).unwrap();
+        let get = |path: &str| svc.handle(&api_request("GET", path, &[]));
+
+        // First GET takes the locked path and warms the cache; the second
+        // must serve the very same shared allocation (zero-copy).
+        let index_path = format!("/v1/repositories/{id}/index");
+        let r1 = get(&index_path);
+        let r2 = get(&index_path);
+        assert_eq!((r1.status, r2.status), (200, 200));
+        let (tsr_http::Body::Shared(a), tsr_http::Body::Shared(b)) = (&r1.body, &r2.body) else {
+            panic!(
+                "index GETs must serve shared bodies: {:?} / {:?}",
+                r1.body, r2.body
+            );
+        };
+        assert!(Arc::ptr_eq(a, b), "cache hit must reuse the allocation");
+        assert!(svc.event_counter("index_hot_blob_hits").get() >= 1);
+
+        // Same for package blobs.
+        let pkg_path = format!("/v1/repositories/{id}/packages/tool");
+        let p1 = get(&pkg_path);
+        let p2 = get(&pkg_path);
+        assert_eq!((p1.status, p2.status), (200, 200));
+        let (tsr_http::Body::Shared(pa), tsr_http::Body::Shared(pb)) = (&p1.body, &p2.body) else {
+            panic!("package GETs must serve shared bodies");
+        };
+        assert!(Arc::ptr_eq(pa, pb));
+
+        // A refresh republishes: the blobs warmed under the old version
+        // are gone with it, and the next GET warms a fresh allocation.
+        svc.refresh(&id).unwrap();
+        let r3 = get(&index_path);
+        let tsr_http::Body::Shared(c) = &r3.body else {
+            panic!("index GETs must serve shared bodies: {:?}", r3.body);
+        };
+        assert!(!Arc::ptr_eq(a, c));
+
+        // Deleting the repository unpublishes it.
+        svc.delete_repository(&id).unwrap();
+        assert!(svc.hot().lookup(&id, |_| ()).is_none());
+        assert_eq!(get(&index_path).status, 404);
     }
-}
 
-fn legacy_refresh(svc: &TsrService, id: &str) -> Response {
-    match svc.refresh(id) {
-        Ok(report) => Response::ok(
-            format!(
-                "downloaded={} sanitized={} rejected={}\n",
-                report.downloaded,
-                report.sanitized.len(),
-                report.rejected.len()
-            )
-            .into_bytes(),
-        ),
-        Err(e) => legacy_error(&e),
+    #[test]
+    fn a_late_reader_cannot_resurrect_a_deleted_tenant() {
+        use crate::hot::Slot;
+        let svc = service();
+        let (id, _) = svc.create_repository(&policy_text()).unwrap();
+        svc.refresh(&id).unwrap();
+        // A reader on the index slow path reads (E1, blob) under the
+        // shard lock and releases it …
+        let (etag, blob) = svc
+            .with_repository(&id, |repo| {
+                let blob: Arc<[u8]> = repo.serve_index().unwrap().into();
+                (repo.signed_index_etag().unwrap().to_string(), blob)
+            })
+            .unwrap();
+        // … the tenant is deleted …
+        svc.delete_repository(&id).unwrap();
+        // … and only then does the reader reach the cache.
+        svc.hot().warm(&id, &etag, Slot::Index, blob);
+        assert!(svc.hot().lookup(&id, |_| ()).is_none(), "entry leaked");
+        let poll = api_request(
+            "GET",
+            &format!("/v1/repositories/{id}/index"),
+            &[("if-none-match", &etag)],
+        );
+        assert_eq!(svc.handle(&poll).status, 404, "a deleted tenant is gone");
     }
-}
 
-fn legacy_index(svc: &TsrService, id: &str) -> Response {
-    match svc.fetch_index(id) {
-        Ok(blob) => Response::ok(blob),
-        Err(e) => legacy_error(&e),
+    #[test]
+    fn hot_blob_budget_reaches_the_serve_cache() {
+        let svc = service();
+        let (id1, _) = svc.create_repository(&policy_text()).unwrap();
+        let (id2, _) = svc.create_repository(&policy_text()).unwrap();
+        svc.refresh(&id1).unwrap();
+        svc.refresh(&id2).unwrap();
+        svc.set_hot_blob_budget(64);
+        let index = |id: &str| {
+            let path = format!("/v1/repositories/{id}/index");
+            svc.handle(&api_request("GET", &path, &[])).status
+        };
+        assert_eq!(index(&id1), 200);
+        assert_eq!(svc.event_counter("hot_blob_evictions").get(), 0);
+        // Two signed indexes do not fit in 64 bytes: warming tenant 2
+        // drops tenant 1's blobs (eviction order is tested in `hot`).
+        assert_eq!(index(&id2), 200);
+        assert_eq!(svc.event_counter("hot_blob_evictions").get(), 1);
     }
-}
 
-fn legacy_package(svc: &TsrService, id: &str, name: &str) -> Response {
-    match svc.fetch_package(id, name) {
-        Ok(blob) => Response::ok(blob),
-        Err(e) => legacy_error(&e),
-    }
-}
+    #[test]
+    fn http_routes_work() {
+        use tsr_wire::dto::{CreateRepositoryRequest, RepositoryCreated};
+        use tsr_wire::WireDto;
+        let svc = service();
+        let server = svc.serve("127.0.0.1:0").unwrap();
+        let base = format!("http://{}", server.local_addr());
+        let client = tsr_http::Client::new();
 
-fn legacy_attest(svc: &TsrService, nonce_hex: &str) -> Response {
-    match hex::from_hex(nonce_hex) {
-        Some(nonce) => {
-            let (mr, data, sig) = svc.attestation_report(&nonce);
-            Response::ok(format!("{mr}\n{data}\n{sig}\n").into_bytes())
+        let body = CreateRepositoryRequest {
+            policy: policy_text(),
         }
-        None => Response::bad_request("nonce must be hex"),
+        .encode();
+        let resp = client
+            .post(&format!("{base}/v1/repositories"), body.as_bytes())
+            .unwrap();
+        assert_eq!(resp.status, 201);
+        let text = String::from_utf8(resp.body.into_vec()).unwrap();
+        let id = RepositoryCreated::decode(&text).unwrap().id;
+
+        let resp = client
+            .post(&format!("{base}/v1/repositories/{id}/refresh"), &[])
+            .unwrap();
+        assert_eq!(resp.status, 200);
+
+        let resp = client
+            .get(&format!("{base}/v1/repositories/{id}/index"))
+            .unwrap();
+        assert_eq!(resp.status, 200);
+        let index = resp.body;
+
+        // The apk repository layout a package manager fetches from.
+        let resp = client
+            .get(&format!("{base}/repositories/{id}/APKINDEX"))
+            .unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.body, index);
+
+        let resp = client
+            .get(&format!("{base}/repositories/{id}/packages/tool"))
+            .unwrap();
+        assert_eq!(resp.status, 200);
+
+        let resp = client
+            .get(&format!("{base}/repositories/{id}/packages/ghost"))
+            .unwrap();
+        assert_eq!(resp.status, 404);
+
+        server.shutdown();
+    }
+
+    #[test]
+    fn bad_policy_rejected_over_http() {
+        let svc = service();
+        let resp = svc.handle(&Request {
+            method: "POST".into(),
+            path: "/v1/repositories".into(),
+            headers: Default::default(),
+            body: br#"{"policy":"not a policy"}"#.to_vec(),
+        });
+        assert_eq!(resp.status, 400);
+        assert!(String::from_utf8_lossy(resp.body.as_slice()).contains("invalid_policy"));
+    }
+
+    #[test]
+    fn unknown_routes_404() {
+        let svc = service();
+        let resp = svc.handle(&api_request("GET", "/bogus", &[]));
+        assert_eq!(resp.status, 404);
+    }
+
+    #[test]
+    fn refresh_unknown_repo_404() {
+        let svc = service();
+        let resp = svc.handle(&api_request("POST", "/v1/repositories/nope/refresh", &[]));
+        assert_eq!(resp.status, 404);
+    }
+
+    #[test]
+    fn readyz_reflects_drain_and_cluster_epoch() {
+        use tsr_wire::{dto::ReadyDto, WireDto};
+        let svc = service();
+        let resp = svc.handle(&api_request("GET", "/v1/readyz", &[]));
+        assert_eq!(resp.status, 200);
+        let dto = ReadyDto::decode(&String::from_utf8_lossy(resp.body.as_slice())).unwrap();
+        assert!(dto.ready);
+        assert_eq!(dto.components.len(), 3);
+        assert!(dto.components.values().all(|&ok| ok));
+
+        svc.set_cluster_epoch_ok(false);
+        let resp = svc.handle(&api_request("GET", "/v1/readyz", &[]));
+        assert_eq!(resp.status, 503);
+        let dto = ReadyDto::decode(&String::from_utf8_lossy(resp.body.as_slice())).unwrap();
+        assert!(!dto.ready);
+        assert!(!dto.components["cluster_epoch"]);
+        assert!(dto.components["drain"]);
+        svc.set_cluster_epoch_ok(true);
+
+        svc.begin_drain();
+        assert!(svc.is_draining());
+        let resp = svc.handle(&api_request("GET", "/v1/readyz", &[]));
+        assert_eq!(resp.status, 503);
+        let dto = ReadyDto::decode(&String::from_utf8_lossy(resp.body.as_slice())).unwrap();
+        assert!(!dto.components["drain"]);
+        // Liveness is unaffected by drain: the process is still healthy.
+        let live = svc.handle(&api_request("GET", "/v1/healthz", &[]));
+        assert_eq!(live.status, 200);
+    }
+
+    #[test]
+    fn error_envelopes_carry_the_request_id() {
+        use tsr_wire::{ErrorEnvelope, WireDto};
+        let svc = service();
+        let resp = svc.handle(&api_request(
+            "POST",
+            "/v1/repositories/nope/refresh",
+            &[("x-request-id", "req-err-7")],
+        ));
+        assert_eq!(resp.status, 404);
+        let env = ErrorEnvelope::decode(&String::from_utf8_lossy(resp.body.as_slice())).unwrap();
+        assert_eq!(env.request_id, "req-err-7");
+        // Without the header, the field encodes as absent/empty.
+        let resp = svc.handle(&api_request("POST", "/v1/repositories/nope/refresh", &[]));
+        let env = ErrorEnvelope::decode(&String::from_utf8_lossy(resp.body.as_slice())).unwrap();
+        assert!(env.request_id.is_empty());
+    }
+
+    #[test]
+    fn prometheus_exposition_parses_and_reflects_traffic() {
+        use tsr_obs::Exposition;
+        let svc = service();
+        let (id, _) = svc.create_repository(&policy_text()).unwrap();
+        svc.refresh(&id).unwrap();
+        // Two index GETs: the second takes the hot-blob fast path.
+        let index_path = format!("/v1/repositories/{id}/index");
+        assert_eq!(
+            svc.handle(&api_request("GET", &index_path, &[])).status,
+            200
+        );
+        assert_eq!(
+            svc.handle(&api_request("GET", &index_path, &[])).status,
+            200
+        );
+
+        let resp = svc.handle(&api_request("GET", "/v1/metrics?format=prometheus", &[]));
+        assert_eq!(resp.status, 200);
+        assert_eq!(
+            resp.headers.get("content-type").map(String::as_str),
+            Some("text/plain; version=0.0.4; charset=utf-8")
+        );
+        let text = String::from_utf8(resp.body.as_slice().to_vec()).unwrap();
+        let expo = Exposition::parse(&text).unwrap();
+        expo.validate_histograms().unwrap();
+        let sample = expo
+            .sample(
+                "tsr_http_requests_total",
+                &[
+                    ("route", "GET /v1/repositories/:id/index"),
+                    ("status", "200"),
+                ],
+            )
+            .expect("index request counted by route pattern");
+        assert!(sample >= 1.0);
+        // Event counters carry the names of the JSON `counters` map.
+        assert!(
+            expo.sample("tsr_core_events_total", &[("event", "index_hot_blob_hits")])
+                .is_some_and(|v| v >= 1.0),
+            "core counters exported:\n{text}"
+        );
+        // Unknown formats are a client error, not a silent default.
+        let resp = svc.handle(&api_request("GET", "/v1/metrics?format=xml", &[]));
+        assert_eq!(resp.status, 400);
     }
 }

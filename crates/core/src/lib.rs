@@ -11,9 +11,13 @@
 //! - [`cache`]: the package cache with SGX-sealing + TPM-monotonic-counter
 //!   rollback protection (§5.5),
 //! - [`repository`]: one client's repository (quorum refresh, serving),
-//! - [`service`]: the multi-tenant REST service (§5.2),
-//! - [`api`]: the versioned `/v1` JSON API (router, per-route metrics,
-//!   error-code mapping) and the legacy plain-text shim.
+//! - [`service`]: the multi-tenant service (§5.2) — tenant lifecycle
+//!   and replication hooks,
+//! - [`api`]: the versioned `/v1` JSON API (route table, request and
+//!   event counters, error-code mapping) plus the two apk-layout read
+//!   routes package managers fetch from,
+//! - [`hot`]: the serve cache index and package GETs answer from,
+//! - [`serve`]: mounting the API on a socket behind the middleware stack,
 //!
 //! - [`parallel`]: the work-stealing pool that fans the refresh hot path
 //!   out across cores (deterministic result ordering),
@@ -32,17 +36,21 @@
 pub mod api;
 pub mod cache;
 pub mod error;
+pub mod hot;
 pub mod parallel;
 pub mod policy;
 pub mod repository;
 pub mod sanitizer;
+pub mod serve;
 pub mod service;
 
-pub use api::{error_status, ApiMetrics};
+pub use api::error_status;
 pub use cache::{PackageCache, SealedState};
 pub use error::CoreError;
+pub use hot::DEFAULT_HOT_BLOB_BUDGET;
 pub use parallel::{default_workers, parallel_map_ordered};
 pub use policy::{InitConfigFile, MirrorRef, Policy};
 pub use repository::{RefreshReport, TsrRepository};
 pub use sanitizer::{PackageSanitizer, PhaseTimings, SanitizeRecord};
-pub use service::{ApiOptions, ReplicatedState, TsrService, DEFAULT_HOT_BLOB_BUDGET};
+pub use serve::ApiOptions;
+pub use service::{ReplicatedState, TsrService};

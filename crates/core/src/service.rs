@@ -1,43 +1,30 @@
-//! The multi-tenant TSR service and its REST API (paper §5.2).
+//! The multi-tenant TSR service (paper §5.2): tenant lifecycle (create,
+//! refresh, restart, recovery, delete) and the replication hooks.
 //!
 //! A single TSR instance, executing inside one enclave, hosts many logically
 //! separated repositories — one per deployed policy. Clients interact over
-//! HTTP through the versioned `/v1` JSON API (see [`crate::api`] for the
-//! route table and error contract); the original plain-text routes remain
-//! available as a byte-compatible legacy shim:
-//!
-//! | v1 route | Legacy shim | Effect |
-//! |---|---|---|
-//! | `POST /v1/repositories` | `POST /repositories` | create a repository |
-//! | `POST /v1/repositories/{id}/refresh` | `POST /repositories/{id}/refresh` | quorum-read upstream, sanitize changes |
-//! | `GET /v1/repositories/{id}/index` | `GET /repositories/{id}/APKINDEX` | the signed sanitized index (ETag-aware on v1) |
-//! | `GET /v1/repositories/{id}/packages/{name}` | `GET /repositories/{id}/packages/{name}` | a sanitized package blob |
-//! | `GET /v1/attestation/{hex-nonce}` | `GET /attestation/{hex-nonce}` | SGX attestation report over the nonce |
-//! | `GET /v1/repositories`, `GET/DELETE /v1/repositories/{id}`, `GET /v1/repositories/{id}/packages`, `GET /v1/healthz`, `GET /v1/metrics` | — | listing, info, delete, pagination, health, counters |
+//! HTTP: [`crate::api`] has the route table and the error contract,
+//! [`crate::serve`] mounts it on a socket, and [`crate::hot`] is the cache
+//! index and package GETs are served from.
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
-use std::time::Duration;
 
 use tsr_crypto::drbg::HmacDrbg;
 use tsr_crypto::hex;
-use tsr_http::middleware::{
-    AccessLog, BodyLimit, CatchPanic, Chain, RateLimit, RequestId, Telemetry,
-};
-use tsr_http::{Request, Response, Server, ServerConfig};
+use tsr_http::{Request, Response};
 use tsr_mirror::Mirror;
 use tsr_net::LatencyModel;
-use tsr_obs::{expo, Journal, Registry, RequestScope};
+use tsr_obs::{Counter, Journal, Registry, RequestScope};
 use tsr_sgx::Cpu;
-use tsr_store::{RecoveryReport, StoreBackend, StoreCounters, StoreEngine, WalRecord};
+use tsr_store::{RecoveryReport, StoreBackend, StoreEngine, WalRecord};
 use tsr_tpm::Tpm;
 use tsr_wire::dto::ReadyDto;
 
-use crate::api::{self, ApiMetrics};
+use crate::api::{self, Metrics};
 use crate::error::CoreError;
+use crate::hot::HotCache;
 use crate::parallel::default_workers;
 use crate::policy::Policy;
 use crate::repository::{RefreshReport, TsrRepository};
@@ -74,31 +61,11 @@ struct SharedState {
     next_id: AtomicU64,
     key_bits: usize,
     workers: AtomicUsize,
-    metrics: ApiMetrics,
-    /// Repository id → current signed-index ETag, mirrored out of the
-    /// shards so conditional index GETs can answer 304 without queueing
-    /// on a shard lock. Kept in lockstep at every mutation point
-    /// (refresh, restart, test mutation, delete) *while the shard lock
-    /// is held*; a leaf lock in the hierarchy (never taken around any
-    /// other lock acquisition).
-    index_etags: RwLock<BTreeMap<String, String>>,
-    /// Repository id → zero-copy hot blobs (the signed index and served
-    /// package bytes as `Arc<[u8]>`), versioned by the index ETag that
-    /// was current when they were cached. Entries are validated against
-    /// [`SharedState::index_etags`] on every read and pruned at the
-    /// same shard-locked mutation points, so a stale blob can be
-    /// *stored* (a benign race) but never *served*. Like `index_etags`,
-    /// a leaf lock: never held while acquiring any other lock.
-    ///
-    /// Bounded by `hot_blob_budget`: when the summed blob bytes exceed
-    /// the budget, whole per-repository entries are evicted oldest-write
-    /// first (the `hot_blob_evictions` metrics counter tracks how many).
-    hot_blobs: RwLock<BTreeMap<String, HotBlobs>>,
-    /// Byte cap for the summed `hot_blobs` payloads.
-    hot_blob_budget: AtomicUsize,
-    /// Monotonic write clock stamping `hot_blobs` entries for eviction
-    /// ordering.
-    hot_blob_clock: AtomicU64,
+    /// This service's handles into the request and event counter
+    /// families of `obs_registry`.
+    metrics: Metrics,
+    /// The serve cache (see [`crate::hot`]); a leaf lock.
+    hot: HotCache,
     /// The durable storage engine (WAL + content-addressed blobs), when
     /// the service was opened over one ([`TsrService::with_store`]).
     /// A leaf lock in the hierarchy, like `tpm`: taken while holding a
@@ -125,29 +92,6 @@ struct SharedState {
     /// by the cluster layer.
     cluster_epoch_ok: AtomicBool,
 }
-
-/// The zero-copy blob cache for one repository: shared allocations the
-/// HTTP layer serves via [`tsr_http::Body::Shared`] without cloning and
-/// without the shard lock. Valid only while `index_etag` still matches
-/// the live index ETag.
-struct HotBlobs {
-    /// The index ETag these blobs belong to.
-    index_etag: String,
-    /// The signed index bytes.
-    index: Option<Arc<[u8]>>,
-    /// Package name → (package ETag, sanitized blob).
-    packages: BTreeMap<String, (String, Arc<[u8]>)>,
-    /// Summed payload bytes of `index` + `packages` (budget accounting).
-    bytes: usize,
-    /// Last-write stamp from `SharedState::hot_blob_clock` (eviction
-    /// order: oldest stamp goes first).
-    stamp: u64,
-}
-
-/// Default [`TsrService::set_hot_blob_budget`] cap: generous for the
-/// single-digit-tenant test worlds, small enough that a many-tenant
-/// deployment cannot pin every tenant's index and packages forever.
-pub const DEFAULT_HOT_BLOB_BUDGET: usize = 64 << 20;
 
 /// The full replicable state of one repository — everything a peer node
 /// needs to host a byte-identical copy: the policy, the index texts, the
@@ -236,6 +180,9 @@ impl TsrService {
         let cpu = Cpu::new(seed);
         let tpm = Tpm::new(seed);
         let rng = HmacDrbg::new(&[b"tsr-service:", seed].concat());
+        let obs_registry = Registry::new();
+        let metrics = Metrics::new(&obs_registry);
+        let hot = HotCache::new(metrics.hot_blob_evictions.clone());
         TsrService {
             shared: Arc::new(SharedState {
                 cpu,
@@ -246,13 +193,10 @@ impl TsrService {
                 next_id: AtomicU64::new(1),
                 key_bits,
                 workers: AtomicUsize::new(default_workers()),
-                metrics: ApiMetrics::default(),
-                index_etags: RwLock::new(BTreeMap::new()),
-                hot_blobs: RwLock::new(BTreeMap::new()),
-                hot_blob_budget: AtomicUsize::new(DEFAULT_HOT_BLOB_BUDGET),
-                hot_blob_clock: AtomicU64::new(0),
+                metrics,
+                hot,
                 store,
-                obs_registry: Registry::new(),
+                obs_registry,
                 obs_journal: Journal::default(),
                 recovering: AtomicBool::new(false),
                 draining: AtomicBool::new(false),
@@ -353,15 +297,14 @@ impl TsrService {
                     }
                 }
             }
-            svc.sync_index_etag(id, &repo);
+            svc.shared.hot.publish(id, repo.signed_index_etag());
             svc.repos
                 .write()
                 .unwrap_or_else(PoisonError::into_inner)
                 .insert(id.clone(), Arc::new(Mutex::new(repo)));
         }
         if let Some(store) = &svc.shared.store {
-            let counters = lock(store).counters();
-            svc.mirror_store_counters(counters);
+            svc.shared.metrics.count_store(&lock(store));
         }
         svc.shared.recovering.store(false, Ordering::SeqCst);
         Ok((svc, report))
@@ -437,9 +380,9 @@ impl TsrService {
     /// Begins a drain: `/v1/readyz` flips to 503 so load balancers take
     /// the node out of rotation, while `/v1/healthz` (liveness) and all
     /// other routes keep answering. The socket layer has its own drain
-    /// ([`Server::begin_drain`]) that stops accepting connections; the
-    /// runbook flips this first, waits a poll interval, then drains the
-    /// listener.
+    /// ([`tsr_http::Server::begin_drain`]) that stops accepting
+    /// connections; the runbook flips this first, waits a poll interval,
+    /// then drains the listener.
     pub fn begin_drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
     }
@@ -478,57 +421,29 @@ impl TsrService {
         ReadyDto { ready, components }
     }
 
-    /// Renders the full Prometheus text exposition (format 0.0.4): the
-    /// typed registry's families (latency histograms, in-flight and
-    /// queue-depth gauges) plus the legacy string-keyed [`ApiMetrics`]
-    /// counters, re-rendered under stable family names so nothing that
-    /// scraped the JSON surface loses a series.
+    /// Renders the Prometheus text exposition (format 0.0.4) of
+    /// [`Self::obs_registry`]: request and event counters, latency
+    /// histograms, in-flight and queue-depth gauges.
     pub fn render_prometheus(&self) -> String {
-        let mut out = self.shared.obs_registry.render_prometheus();
-        let requests = self.shared.metrics.requests_snapshot();
-        expo::render_header(
-            &mut out,
-            "tsr_http_requests_total",
-            "Requests by matched route pattern and status.",
-            "counter",
-        );
-        for (route, statuses) in &requests {
-            for (status, count) in statuses {
-                let status = status.to_string();
-                expo::render_sample(
-                    &mut out,
-                    "tsr_http_requests_total",
-                    &[("route", route.as_str()), ("status", status.as_str())],
-                    &count.to_string(),
-                );
-            }
-        }
-        let counters = self.shared.metrics.snapshot().counters;
-        expo::render_header(
-            &mut out,
-            "tsr_core_events_total",
-            "Named core event counters (the `counters` map of GET /v1/metrics).",
-            "counter",
-        );
-        for (name, value) in &counters {
-            expo::render_sample(
-                &mut out,
-                "tsr_core_events_total",
-                &[("event", name.as_str())],
-                &value.to_string(),
-            );
-        }
-        out
+        self.shared.obs_registry.render_prometheus()
     }
 
-    /// Mirrors the storage engine's cumulative counters into the named
-    /// counters served at `GET /v1/metrics`.
-    fn mirror_store_counters(&self, c: StoreCounters) {
-        let m = &self.shared.metrics;
-        m.set_counter("wal_appends", c.wal_appends);
-        m.set_counter("wal_bytes", c.wal_bytes);
-        m.set_counter("snapshot_writes", c.snapshot_writes);
-        m.set_counter("recovery_replayed_records", c.recovery_replayed_records);
+    /// The handle of one named series of `tsr_core_events_total{event}`
+    /// (created at zero on first use). The cluster layer counts its
+    /// replication events here; the same counters are the `counters`
+    /// map of `GET /v1/metrics`.
+    pub fn event_counter(&self, event: &str) -> Counter {
+        self.shared.metrics.event(event)
+    }
+
+    /// This service's counter handles.
+    pub(crate) fn metrics(&self) -> &Metrics {
+        &self.shared.metrics
+    }
+
+    /// The serve cache.
+    pub(crate) fn hot(&self) -> &HotCache {
+        &self.shared.hot
     }
 
     /// The stable journal name of one WAL record kind.
@@ -566,10 +481,9 @@ impl TsrService {
         };
         let mut eng = lock(store);
         eng.append(record).map_err(store_err)?;
-        let counters = eng.counters();
+        self.shared.metrics.count_store(&eng);
         drop(eng);
         self.journal_wal(record);
-        self.mirror_store_counters(counters);
         Ok(())
     }
 
@@ -620,11 +534,10 @@ impl TsrService {
             counter: seal_counter,
         };
         eng.append(&seal).map_err(store_err)?;
-        let counters = eng.counters();
+        self.shared.metrics.count_store(&eng);
         drop(eng);
         self.journal_wal(&refresh);
         self.journal_wal(&seal);
-        self.mirror_store_counters(counters);
         Ok(())
     }
 
@@ -713,7 +626,7 @@ impl TsrService {
         // Lock order `repository → store` (the TPM lock is already
         // released; the two leaf locks are never held together).
         self.store_refresh(&repo, seal_counter)?;
-        self.sync_index_etag(id, &repo);
+        self.shared.hot.publish(id, repo.signed_index_etag());
         Ok(report)
     }
 
@@ -746,17 +659,17 @@ impl TsrService {
                 let tpm = lock(&self.shared.tpm);
                 let outcome = repo.restore(&enclave, &tpm);
                 drop(tpm);
-                self.sync_index_etag(&id, &repo);
+                self.shared.hot.publish(&id, repo.signed_index_etag());
                 (id, outcome)
             })
             .collect()
     }
 
     /// Sets the byte budget of the zero-copy hot-blob cache (default
-    /// [`DEFAULT_HOT_BLOB_BUDGET`]). A smaller budget takes effect at the
-    /// next blob store; it does not synchronously shrink the cache.
+    /// [`crate::DEFAULT_HOT_BLOB_BUDGET`]). A smaller budget takes effect
+    /// at the next blob store; it does not synchronously shrink the cache.
     pub fn set_hot_blob_budget(&self, bytes: usize) {
-        self.shared.hot_blob_budget.store(bytes, Ordering::Relaxed);
+        self.shared.hot.set_budget(bytes);
     }
 
     /// Exports the full replicable state of one repository: policy,
@@ -936,8 +849,8 @@ impl TsrService {
                 .unwrap_or_else(PoisonError::into_inner)
                 .insert(state.id.clone(), Arc::clone(&shard));
         }
-        self.sync_index_etag(&state.id, &repo);
-        self.shared.metrics.bump("cluster_replicated_applies");
+        self.shared.hot.publish(&state.id, repo.signed_index_etag());
+        self.shared.metrics.cluster_replicated_applies.inc();
         Ok(etag)
     }
 
@@ -1003,12 +916,11 @@ impl TsrService {
             eng.append(&seal).map_err(store_err)?;
             journaled.push(seal);
         }
-        let counters = eng.counters();
+        self.shared.metrics.count_store(&eng);
         drop(eng);
         for record in &journaled {
             self.journal_wal(record);
         }
-        self.mirror_store_counters(counters);
         Ok(())
     }
 
@@ -1112,7 +1024,7 @@ impl TsrService {
         self.store_append(&WalRecord::RepoDeleted { id: id.to_string() })?;
         repos.remove(id);
         drop(repos);
-        self.store_index_etag(id, None);
+        self.shared.hot.publish(id, None);
         Ok(())
     }
 
@@ -1130,227 +1042,13 @@ impl TsrService {
         let shard = self.repo(id)?;
         let mut repo = lock(&shard);
         let r = f(&mut repo);
-        // `f` may have changed the index (fault injection); re-sync the
-        // conditional-GET cache before the shard lock is released.
-        self.sync_index_etag(id, &repo);
+        // `f` may have changed the index or the package cache (fault
+        // injection); republish before the shard lock is released.
+        self.shared.hot.publish(id, repo.signed_index_etag());
         Ok(r)
     }
 
-    /// The per-route request counters backing `GET /v1/metrics`.
-    pub fn api_metrics(&self) -> &ApiMetrics {
-        &self.shared.metrics
-    }
-
-    /// The cached signed-index ETag for `id`, read without touching the
-    /// repository shard lock (the `/v1` conditional-GET fast path).
-    pub fn cached_index_etag(&self, id: &str) -> Option<String> {
-        self.shared
-            .index_etags
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(id)
-            .cloned()
-    }
-
-    /// Stores (or clears) the cached index ETag for `id`, pruning any
-    /// hot blobs cached under a different (now stale) index version.
-    pub(crate) fn store_index_etag(&self, id: &str, etag: Option<&str>) {
-        {
-            let mut map = self
-                .shared
-                .index_etags
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            match etag {
-                Some(e) => {
-                    map.insert(id.to_string(), e.to_string());
-                }
-                None => {
-                    map.remove(id);
-                }
-            }
-        }
-        let mut blobs = self
-            .shared
-            .hot_blobs
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        let stale = match etag {
-            None => blobs.contains_key(id),
-            Some(e) => blobs.get(id).is_some_and(|h| h.index_etag != e),
-        };
-        if stale {
-            blobs.remove(id);
-        }
-    }
-
-    /// The cached signed-index blob for `id`, returned as a shared
-    /// allocation iff it matches the *current* index ETag — the
-    /// zero-copy, lock-free path for full index GETs.
-    pub fn cached_hot_index(&self, id: &str) -> Option<(String, Arc<[u8]>)> {
-        let current = self.cached_index_etag(id)?;
-        let blobs = self
-            .shared
-            .hot_blobs
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        let entry = blobs.get(id)?;
-        if entry.index_etag != current {
-            return None;
-        }
-        entry.index.as_ref().map(|b| (current, Arc::clone(b)))
-    }
-
-    /// The cached blob + ETag for one package, valid only under the
-    /// current index version.
-    pub fn cached_hot_package(&self, id: &str, name: &str) -> Option<(String, Arc<[u8]>)> {
-        let current = self.cached_index_etag(id)?;
-        let blobs = self
-            .shared
-            .hot_blobs
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        let entry = blobs.get(id)?;
-        if entry.index_etag != current {
-            return None;
-        }
-        entry
-            .packages
-            .get(name)
-            .map(|(etag, blob)| (etag.clone(), Arc::clone(blob)))
-    }
-
-    /// Caches the signed index blob under `index_etag`. Skipped when the
-    /// live ETag has already moved on (the blob was read under a shard
-    /// lock that has since been released); a racing store after a prune
-    /// is harmless because reads validate the version again.
-    pub(crate) fn store_hot_index(&self, id: &str, index_etag: &str, blob: Arc<[u8]>) {
-        if self.cached_index_etag(id).as_deref() != Some(index_etag) {
-            return;
-        }
-        let stamp = self.shared.hot_blob_clock.fetch_add(1, Ordering::Relaxed);
-        let budget = self.shared.hot_blob_budget.load(Ordering::Relaxed);
-        let evicted = {
-            let mut blobs = self
-                .shared
-                .hot_blobs
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            let entry = Self::hot_entry(&mut blobs, id, index_etag);
-            if let Some(old) = entry.index.take() {
-                entry.bytes -= old.len();
-            }
-            entry.bytes += blob.len();
-            entry.index = Some(blob);
-            entry.stamp = stamp;
-            Self::enforce_hot_blob_budget(&mut blobs, budget, id)
-        };
-        // The counter is bumped after the leaf lock is released (the
-        // metrics mutex must never nest under it).
-        self.shared
-            .metrics
-            .bump_by("hot_blob_evictions", evicted as u64);
-    }
-
-    /// Caches one package blob (with its own ETag) under `index_etag`.
-    pub(crate) fn store_hot_package(
-        &self,
-        id: &str,
-        index_etag: &str,
-        name: &str,
-        pkg_etag: &str,
-        blob: Arc<[u8]>,
-    ) {
-        if self.cached_index_etag(id).as_deref() != Some(index_etag) {
-            return;
-        }
-        let stamp = self.shared.hot_blob_clock.fetch_add(1, Ordering::Relaxed);
-        let budget = self.shared.hot_blob_budget.load(Ordering::Relaxed);
-        let evicted = {
-            let mut blobs = self
-                .shared
-                .hot_blobs
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            let entry = Self::hot_entry(&mut blobs, id, index_etag);
-            if let Some((_, old)) = entry
-                .packages
-                .insert(name.to_string(), (pkg_etag.to_string(), Arc::clone(&blob)))
-            {
-                entry.bytes -= old.len();
-            }
-            entry.bytes += blob.len();
-            entry.stamp = stamp;
-            Self::enforce_hot_blob_budget(&mut blobs, budget, id)
-        };
-        self.shared
-            .metrics
-            .bump_by("hot_blob_evictions", evicted as u64);
-    }
-
-    /// Evicts whole per-repository hot-blob entries — oldest write stamp
-    /// first — until the summed payload fits `budget`. The entry just
-    /// written (`keep`) is never evicted, so a single oversized tenant
-    /// still serves zero-copy. Returns the number of entries evicted.
-    fn enforce_hot_blob_budget(
-        blobs: &mut BTreeMap<String, HotBlobs>,
-        budget: usize,
-        keep: &str,
-    ) -> usize {
-        let mut total: usize = blobs.values().map(|h| h.bytes).sum();
-        let mut evicted = 0usize;
-        while total > budget {
-            let Some(oldest) = blobs
-                .iter()
-                .filter(|(id, _)| id.as_str() != keep)
-                .min_by_key(|(_, h)| h.stamp)
-                .map(|(id, _)| id.clone())
-            else {
-                break;
-            };
-            if let Some(entry) = blobs.remove(&oldest) {
-                total -= entry.bytes;
-            }
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// The hot-blob entry for `id` at version `index_etag`, resetting it
-    /// when it belongs to an older index.
-    fn hot_entry<'m>(
-        blobs: &'m mut BTreeMap<String, HotBlobs>,
-        id: &str,
-        index_etag: &str,
-    ) -> &'m mut HotBlobs {
-        let entry = blobs.entry(id.to_string()).or_insert_with(|| HotBlobs {
-            index_etag: index_etag.to_string(),
-            index: None,
-            packages: BTreeMap::new(),
-            bytes: 0,
-            stamp: 0,
-        });
-        if entry.index_etag != index_etag {
-            *entry = HotBlobs {
-                index_etag: index_etag.to_string(),
-                index: None,
-                packages: BTreeMap::new(),
-                bytes: 0,
-                stamp: entry.stamp,
-            };
-        }
-        entry
-    }
-
-    /// Re-reads `repo`'s current index ETag into the cache. Call with
-    /// the shard lock held so the cache can never outlive the state it
-    /// mirrors by more than the in-flight readers.
-    fn sync_index_etag(&self, id: &str, repo: &TsrRepository) {
-        self.store_index_etag(id, repo.signed_index_etag());
-    }
-
-    /// Routes an HTTP request (also usable without a real socket): the
-    /// `/v1` JSON surface plus the legacy plain-text shim. See
+    /// Routes an HTTP request (also usable without a real socket). See
     /// [`crate::api`] for routes and the error contract.
     pub fn handle(&self, req: &Request) -> Response {
         // Put the request's id (injected by the RequestId middleware, or
@@ -1360,163 +1058,10 @@ impl TsrService {
         let _scope = RequestScope::enter(req.headers.get("x-request-id").cloned());
         api::handle(self, req)
     }
-
-    /// Binds an HTTP server exposing [`Self::handle`] behind the default
-    /// middleware stack ([`ApiOptions::default`]).
-    ///
-    /// # Errors
-    ///
-    /// [`tsr_http::HttpError`] when the address cannot be bound.
-    pub fn serve(&self, addr: &str) -> Result<Server, tsr_http::HttpError> {
-        self.serve_with_options(addr, ApiOptions::default())
-    }
-
-    /// Binds an HTTP server with explicit middleware/transport tunables.
-    ///
-    /// The middleware stack, outermost first: panic containment →
-    /// request-id injection → structured access log → telemetry
-    /// (latency histograms + in-flight gauges into
-    /// [`Self::obs_registry`]) → token-bucket rate limit → body-size
-    /// guard → router. Binding also registers scrape-time gauges over
-    /// the reactor's two-class job-queue depths (and their high-water
-    /// marks) in the registry.
-    ///
-    /// Two body limits apply at different layers: requests over
-    /// [`ApiOptions::max_body`] get the middleware's JSON 413 envelope;
-    /// the transport additionally refuses to *read* bodies over four
-    /// times that (memory protection — those get the transport's plain
-    /// 413 and a closed connection).
-    ///
-    /// # Errors
-    ///
-    /// [`tsr_http::HttpError`] when the address cannot be bound.
-    pub fn serve_with_options(
-        &self,
-        addr: &str,
-        options: ApiOptions,
-    ) -> Result<Server, tsr_http::HttpError> {
-        let service = self.clone();
-        let mut chain = Chain::new(move |req: &mut Request| service.handle(req))
-            .wrap(BodyLimit(options.max_body));
-        if let Some((burst, per_sec)) = options.rate_limit {
-            chain = chain.wrap(RateLimit::new(burst, per_sec));
-        }
-        let access_log = match &options.access_log {
-            Some(path) => {
-                let file = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .map_err(tsr_http::HttpError::Io)?;
-                let file = Mutex::new(file);
-                AccessLog::new(move |line| {
-                    let mut f = file.lock().unwrap_or_else(PoisonError::into_inner);
-                    let _ = writeln!(f, "{line}");
-                })
-            }
-            None => AccessLog::default(),
-        };
-        let chain = chain
-            .wrap(Telemetry::new(&self.shared.obs_registry))
-            .wrap(access_log)
-            .wrap(RequestId::new())
-            .wrap(CatchPanic);
-        let server = Server::bind_with_config(
-            addr,
-            chain.into_handler(),
-            ServerConfig {
-                workers: options.workers,
-                read_deadline: options.read_deadline,
-                max_body: options.max_body.saturating_mul(4),
-                // A refresh burns hundreds of CPU-bound milliseconds in
-                // quorum verification + re-signing; classing it as Bulk
-                // keeps index/package reads off its tail on small pools.
-                classify: Some(std::sync::Arc::new(classify_request)),
-            },
-        )?;
-        // Queue depths are owned by the reactor; sample them at scrape
-        // time. Re-binding (tests spin up several servers per service)
-        // replaces the callback with the newest server's queues.
-        let stats = server.queue_stats();
-        self.shared.obs_registry.gauge_fn(
-            "tsr_http_worker_queue_depth",
-            "Jobs waiting in the reactor's two-class worker queue.",
-            move || {
-                let (serve, bulk) = stats.depths();
-                vec![
-                    (
-                        vec![("class".to_string(), "serve".to_string())],
-                        serve as i64,
-                    ),
-                    (vec![("class".to_string(), "bulk".to_string())], bulk as i64),
-                ]
-            },
-        );
-        let stats = server.queue_stats();
-        self.shared.obs_registry.gauge_fn(
-            "tsr_http_worker_queue_depth_peak",
-            "High-water mark of the worker queue depth since bind.",
-            move || {
-                let (serve, bulk) = stats.peaks();
-                vec![
-                    (
-                        vec![("class".to_string(), "serve".to_string())],
-                        serve as i64,
-                    ),
-                    (vec![("class".to_string(), "bulk".to_string())], bulk as i64),
-                ]
-            },
-        );
-        Ok(server)
-    }
-}
-
-/// Transport-level scheduling class for one API request: CPU-bound
-/// administrative mutations (`POST …/refresh`) go to the bulk lane so the
-/// serving path never queues behind them (see [`tsr_http::JobClass`]).
-fn classify_request(req: &Request) -> tsr_http::JobClass {
-    let path = req.path.split('?').next().unwrap_or("");
-    if req.method == "POST" && path.trim_end_matches('/').ends_with("/refresh") {
-        tsr_http::JobClass::Bulk
-    } else {
-        tsr_http::JobClass::Serve
-    }
-}
-
-/// Tunables for [`TsrService::serve_with_options`].
-#[derive(Debug, Clone)]
-pub struct ApiOptions {
-    /// Worker-pool size of the HTTP server.
-    pub workers: usize,
-    /// Token-bucket rate limit `(burst, refill per second)`; `None`
-    /// disables limiting.
-    pub rate_limit: Option<(u32, f64)>,
-    /// Maximum request-body size (policies are small; 16 MiB default).
-    pub max_body: usize,
-    /// Slow-loris read deadline on the socket.
-    pub read_deadline: Duration,
-    /// When set, one structured JSON access-log line per request is
-    /// appended to this file. When `None`, lines go to stderr only if
-    /// the `TSR_HTTP_LOG` environment variable is set (the
-    /// [`AccessLog::default`] behaviour).
-    pub access_log: Option<PathBuf>,
-}
-
-impl Default for ApiOptions {
-    fn default() -> Self {
-        ApiOptions {
-            workers: tsr_http::default_pool_size(),
-            // Generous: protects against floods without throttling tests.
-            rate_limit: Some((10_000, 10_000.0)),
-            max_body: 16 << 20,
-            read_deadline: Duration::from_secs(10),
-            access_log: None,
-        }
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::BTreeMap as Map;
     use std::sync::OnceLock;
@@ -1534,7 +1079,7 @@ mod tests {
         })
     }
 
-    fn policy_text() -> String {
+    pub(crate) fn policy_text() -> String {
         let pem: String = upstream_key()
             .public_key()
             .to_pem()
@@ -1576,7 +1121,7 @@ mod tests {
         ms
     }
 
-    fn service() -> TsrService {
+    pub(crate) fn service() -> TsrService {
         TsrService::new(b"svc-test", mirrors(), LatencyModel::default(), 1024)
     }
 
@@ -1600,7 +1145,7 @@ mod tests {
         svc.refresh(&id).unwrap();
         let index = svc.fetch_index(&id).unwrap();
         let pkg = svc.fetch_package(&id, "tool").unwrap();
-        assert!(svc.api_metrics().counter("wal_appends") >= 3);
+        assert!(svc.event_counter("wal_appends").get() >= 3);
         drop(svc); // enclave crash: everything volatile is gone
 
         let (svc2, report2) = TsrService::with_store(
@@ -1614,7 +1159,7 @@ mod tests {
         assert_eq!(report2.replayed_records, 3, "create + refresh + seal");
         assert_eq!(svc2.fetch_index(&id).unwrap(), index, "byte-identical");
         assert_eq!(svc2.fetch_package(&id, "tool").unwrap(), pkg);
-        assert_eq!(svc2.api_metrics().counter("recovery_replayed_records"), 3);
+        assert_eq!(svc2.event_counter("recovery_replayed_records").get(), 3);
 
         // Recovered services keep allocating fresh ids.
         let (id2, _) = svc2.create_repository(&policy_text()).unwrap();
@@ -1683,81 +1228,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_blob_cache_shares_bytes_and_invalidates_with_the_index() {
-        let svc = service();
-        let (id, _pem) = svc.create_repository(&policy_text()).unwrap();
-        svc.refresh(&id).unwrap();
-        let get = |path: &str| {
-            svc.handle(&Request {
-                method: "GET".into(),
-                path: path.to_string(),
-                headers: Map::new(),
-                body: vec![],
-            })
-        };
-
-        // First GET takes the locked path and warms the cache; the second
-        // must serve the very same shared allocation (zero-copy).
-        let index_path = format!("/v1/repositories/{id}/index");
-        let r1 = get(&index_path);
-        let r2 = get(&index_path);
-        assert_eq!((r1.status, r2.status), (200, 200));
-        let (tsr_http::Body::Shared(a), tsr_http::Body::Shared(b)) = (&r1.body, &r2.body) else {
-            panic!(
-                "index GETs must serve shared bodies: {:?} / {:?}",
-                r1.body, r2.body
-            );
-        };
-        assert!(Arc::ptr_eq(a, b), "cache hit must reuse the allocation");
-        assert!(svc.api_metrics().counter("index_hot_blob_hits") >= 1);
-
-        // Same for package blobs.
-        let pkg_path = format!("/v1/repositories/{id}/packages/tool");
-        let p1 = get(&pkg_path);
-        let p2 = get(&pkg_path);
-        assert_eq!((p1.status, p2.status), (200, 200));
-        let (tsr_http::Body::Shared(pa), tsr_http::Body::Shared(pb)) = (&p1.body, &p2.body) else {
-            panic!("package GETs must serve shared bodies");
-        };
-        assert!(Arc::ptr_eq(pa, pb));
-
-        // A store under a stale index version is validated away on read.
-        let current = svc.cached_hot_index(&id).expect("warm").1;
-        svc.store_hot_index(&id, "\"bogus\"", Arc::from(vec![9u8].into_boxed_slice()));
-        let still = svc.cached_hot_index(&id).expect("still warm").1;
-        assert!(Arc::ptr_eq(&current, &still), "stale store must be ignored");
-
-        // Deleting the repository prunes its blobs with the ETag.
-        svc.delete_repository(&id).unwrap();
-        assert!(svc.cached_hot_index(&id).is_none());
-        assert!(svc.cached_hot_package(&id, "tool").is_none());
-    }
-
-    #[test]
-    fn hot_blob_budget_evicts_oldest_tenant() {
-        let svc = service();
-        let (id1, _) = svc.create_repository(&policy_text()).unwrap();
-        let (id2, _) = svc.create_repository(&policy_text()).unwrap();
-        svc.refresh(&id1).unwrap();
-        svc.refresh(&id2).unwrap();
-        svc.set_hot_blob_budget(64);
-        let etag1 = svc.cached_index_etag(&id1).unwrap();
-        let etag2 = svc.cached_index_etag(&id2).unwrap();
-        svc.store_hot_index(&id1, &etag1, Arc::from(vec![1u8; 48].into_boxed_slice()));
-        assert!(svc.cached_hot_index(&id1).is_some());
-        assert_eq!(svc.api_metrics().counter("hot_blob_evictions"), 0);
-        // Storing tenant 2 pushes the total over the 64-byte budget: the
-        // oldest entry (tenant 1) goes, never the one just written.
-        svc.store_hot_index(&id2, &etag2, Arc::from(vec![2u8; 48].into_boxed_slice()));
-        assert!(svc.cached_hot_index(&id1).is_none(), "oldest evicted");
-        assert!(svc.cached_hot_index(&id2).is_some(), "newest kept");
-        assert_eq!(svc.api_metrics().counter("hot_blob_evictions"), 1);
-        // An oversized single tenant still serves zero-copy.
-        svc.store_hot_index(&id2, &etag2, Arc::from(vec![3u8; 4096].into_boxed_slice()));
-        assert!(svc.cached_hot_index(&id2).is_some());
-    }
-
-    #[test]
     fn replicated_state_applies_byte_identically_on_a_peer() {
         let primary = service();
         let (id, _) = primary.create_repository(&policy_text()).unwrap();
@@ -1785,8 +1255,8 @@ mod tests {
         assert_eq!(replica.fetch_index(&id).unwrap(), index, "byte-identical");
         assert_eq!(replica.fetch_package(&id, "tool").unwrap(), pkg);
         assert_eq!(
-            replica.cached_index_etag(&id).as_deref(),
-            Some(etag.as_str())
+            replica.hot().lookup(&id, |e| e.index_etag().to_string()),
+            Some(etag.clone())
         );
 
         // Re-applying the same state is idempotent…
@@ -1910,44 +1380,6 @@ mod tests {
     }
 
     #[test]
-    fn http_routes_work() {
-        let svc = service();
-        let server = svc.serve("127.0.0.1:0").unwrap();
-        let base = format!("http://{}", server.local_addr());
-        let client = tsr_http::Client::new();
-
-        let resp = client
-            .post(&format!("{base}/repositories"), policy_text().as_bytes())
-            .unwrap();
-        assert_eq!(resp.status, 200);
-        let text = String::from_utf8(resp.body.into_vec()).unwrap();
-        let id = text.lines().next().unwrap().to_string();
-
-        let resp = client
-            .post(&format!("{base}/repositories/{id}/refresh"), &[])
-            .unwrap();
-        assert_eq!(resp.status, 200);
-
-        let resp = client
-            .get(&format!("{base}/repositories/{id}/APKINDEX"))
-            .unwrap();
-        assert_eq!(resp.status, 200);
-        assert!(!resp.body.is_empty());
-
-        let resp = client
-            .get(&format!("{base}/repositories/{id}/packages/tool"))
-            .unwrap();
-        assert_eq!(resp.status, 200);
-
-        let resp = client
-            .get(&format!("{base}/repositories/{id}/packages/ghost"))
-            .unwrap();
-        assert_eq!(resp.status, 404);
-
-        server.shutdown();
-    }
-
-    #[test]
     fn attestation_report_verifies() {
         let svc = service();
         let (mr, data, sig) = svc.attestation_report(b"nonce!");
@@ -1961,30 +1393,6 @@ mod tests {
             .verify(&platform, &tsr_sgx::Measurement::of(ENCLAVE_CODE))
             .unwrap();
         assert!(report.report_data.starts_with(b"nonce!"));
-    }
-
-    #[test]
-    fn bad_policy_rejected_over_http() {
-        let svc = service();
-        let resp = svc.handle(&Request {
-            method: "POST".into(),
-            path: "/repositories".into(),
-            headers: Default::default(),
-            body: b"not a policy".to_vec(),
-        });
-        assert_eq!(resp.status, 400);
-    }
-
-    #[test]
-    fn unknown_routes_404() {
-        let svc = service();
-        let resp = svc.handle(&Request {
-            method: "GET".into(),
-            path: "/bogus".into(),
-            headers: Default::default(),
-            body: vec![],
-        });
-        assert_eq!(resp.status, 404);
     }
 
     #[test]
@@ -2040,19 +1448,7 @@ mod tests {
         svc.refresh(&id).unwrap();
     }
 
-    #[test]
-    fn refresh_unknown_repo_404() {
-        let svc = service();
-        let resp = svc.handle(&Request {
-            method: "POST".into(),
-            path: "/repositories/nope/refresh".into(),
-            headers: Default::default(),
-            body: vec![],
-        });
-        assert_eq!(resp.status, 404);
-    }
-
-    fn api_request(method: &str, path: &str, headers: &[(&str, &str)]) -> Request {
+    pub(crate) fn api_request(method: &str, path: &str, headers: &[(&str, &str)]) -> Request {
         Request {
             method: method.into(),
             path: path.into(),
@@ -2062,104 +1458,6 @@ mod tests {
                 .collect(),
             body: vec![],
         }
-    }
-
-    #[test]
-    fn readyz_reflects_drain_and_cluster_epoch() {
-        use tsr_wire::{dto::ReadyDto, WireDto};
-        let svc = service();
-        let resp = svc.handle(&api_request("GET", "/v1/readyz", &[]));
-        assert_eq!(resp.status, 200);
-        let dto = ReadyDto::decode(&String::from_utf8_lossy(resp.body.as_slice())).unwrap();
-        assert!(dto.ready);
-        assert_eq!(dto.components.len(), 3);
-        assert!(dto.components.values().all(|&ok| ok));
-
-        svc.set_cluster_epoch_ok(false);
-        let resp = svc.handle(&api_request("GET", "/v1/readyz", &[]));
-        assert_eq!(resp.status, 503);
-        let dto = ReadyDto::decode(&String::from_utf8_lossy(resp.body.as_slice())).unwrap();
-        assert!(!dto.ready);
-        assert!(!dto.components["cluster_epoch"]);
-        assert!(dto.components["drain"]);
-        svc.set_cluster_epoch_ok(true);
-
-        svc.begin_drain();
-        assert!(svc.is_draining());
-        let resp = svc.handle(&api_request("GET", "/v1/readyz", &[]));
-        assert_eq!(resp.status, 503);
-        let dto = ReadyDto::decode(&String::from_utf8_lossy(resp.body.as_slice())).unwrap();
-        assert!(!dto.components["drain"]);
-        // Liveness is unaffected by drain: the process is still healthy.
-        let live = svc.handle(&api_request("GET", "/v1/healthz", &[]));
-        assert_eq!(live.status, 200);
-    }
-
-    #[test]
-    fn error_envelopes_carry_the_request_id() {
-        use tsr_wire::{ErrorEnvelope, WireDto};
-        let svc = service();
-        let resp = svc.handle(&api_request(
-            "POST",
-            "/v1/repositories/nope/refresh",
-            &[("x-request-id", "req-err-7")],
-        ));
-        assert_eq!(resp.status, 404);
-        let env = ErrorEnvelope::decode(&String::from_utf8_lossy(resp.body.as_slice())).unwrap();
-        assert_eq!(env.request_id, "req-err-7");
-        // Without the header, the field encodes as absent/empty.
-        let resp = svc.handle(&api_request("POST", "/v1/repositories/nope/refresh", &[]));
-        let env = ErrorEnvelope::decode(&String::from_utf8_lossy(resp.body.as_slice())).unwrap();
-        assert!(env.request_id.is_empty());
-    }
-
-    #[test]
-    fn prometheus_exposition_parses_and_reflects_traffic() {
-        use tsr_obs::Exposition;
-        let svc = service();
-        let (id, _) = svc.create_repository(&policy_text()).unwrap();
-        svc.refresh(&id).unwrap();
-        // Two index GETs: the second takes the hot-blob fast path, so
-        // the typed hot counter must surface under its legacy name.
-        let index_path = format!("/v1/repositories/{id}/index");
-        assert_eq!(
-            svc.handle(&api_request("GET", &index_path, &[])).status,
-            200
-        );
-        assert_eq!(
-            svc.handle(&api_request("GET", &index_path, &[])).status,
-            200
-        );
-
-        let resp = svc.handle(&api_request("GET", "/v1/metrics?format=prometheus", &[]));
-        assert_eq!(resp.status, 200);
-        assert_eq!(
-            resp.headers.get("content-type").map(String::as_str),
-            Some("text/plain; version=0.0.4; charset=utf-8")
-        );
-        let text = String::from_utf8(resp.body.as_slice().to_vec()).unwrap();
-        let expo = Exposition::parse(&text).unwrap();
-        expo.validate_histograms().unwrap();
-        let sample = expo
-            .sample(
-                "tsr_http_requests_total",
-                &[
-                    ("route", "GET /v1/repositories/:id/index"),
-                    ("status", "200"),
-                ],
-            )
-            .expect("index request counted by route pattern");
-        assert!(sample >= 1.0);
-        // The typed hot-path counters surface under their legacy JSON
-        // metric names via the core-events family.
-        assert!(
-            expo.sample("tsr_core_events_total", &[("event", "index_hot_blob_hits")])
-                .is_some_and(|v| v >= 1.0),
-            "core counters exported:\n{text}"
-        );
-        // Unknown formats are a client error, not a silent default.
-        let resp = svc.handle(&api_request("GET", "/v1/metrics?format=xml", &[]));
-        assert_eq!(resp.status, 400);
     }
 
     #[test]

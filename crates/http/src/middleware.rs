@@ -44,6 +44,11 @@ use crate::{Request, Response};
 /// chain.
 pub const ROUTE_HEADER: &str = "x-tsr-route";
 
+/// The route label of a response without a [`ROUTE_HEADER`] (no pattern
+/// matched, or an outer layer answered before the router ran). Request
+/// counters and [`Telemetry`] file such requests under this one label.
+pub const UNMATCHED_ROUTE: &str = "unmatched";
+
 /// Response header carrying the tenant (repository id) a request
 /// addressed, for the access log. Stripped alongside [`ROUTE_HEADER`].
 pub const TENANT_HEADER: &str = "x-tsr-tenant";
@@ -226,9 +231,9 @@ impl Middleware for AccessLog {
 }
 
 /// Per-route server-side telemetry: a latency-histogram family keyed by
-/// the matched route pattern (from [`ROUTE_HEADER`], label `unmatched`
-/// when absent) and an in-flight-request gauge with a high-water peak.
-/// Registers `tsr_http_request_duration_us` and
+/// the matched route pattern (from [`ROUTE_HEADER`], label
+/// [`UNMATCHED_ROUTE`] when absent) and an in-flight-request gauge with
+/// a high-water peak. Registers `tsr_http_request_duration_us` and
 /// `tsr_http_requests_in_flight` (plus its `_peak`) in the given
 /// [`Registry`].
 pub struct Telemetry {
@@ -287,7 +292,7 @@ impl Middleware for Telemetry {
             .headers
             .get(ROUTE_HEADER)
             .map(String::as_str)
-            .unwrap_or("unmatched");
+            .unwrap_or(UNMATCHED_ROUTE);
         self.latency.with(route).observe(us);
         resp
     }

@@ -6,8 +6,9 @@
 //! only the operator can see queueing, replication lag, and drain
 //! state):
 //!
-//! - [`registry`]: a typed metric registry — [`Counter`], [`Gauge`]
-//!   (with high-water peaks), and labeled latency-histogram families
+//! - [`registry`]: a typed metric registry — [`Counter`], labeled
+//!   counter families ([`CounterVec`]), [`Gauge`] (with high-water
+//!   peaks), and labeled latency-histogram families
 //!   over [`tsr_stats::Histogram`] — with O(1) lock-free hot-path
 //!   updates through cloneable handles,
 //! - [`expo`]: Prometheus text exposition (format version 0.0.4)
@@ -43,4 +44,6 @@ pub mod registry;
 pub use context::{current_request_id, RequestScope};
 pub use expo::{Exposition, Family, Sample};
 pub use journal::{Journal, JournalEvent};
-pub use registry::{Counter, Gauge, HistogramHandle, HistogramVec, Registry, LATENCY_BUCKETS_US};
+pub use registry::{
+    Counter, CounterVec, Gauge, HistogramHandle, HistogramVec, Registry, LATENCY_BUCKETS_US,
+};

@@ -156,11 +156,52 @@ impl HistogramVec {
     }
 }
 
+/// A counter family keyed by a fixed set of labels (e.g. `route`,
+/// `status`): series are created lazily per label-value tuple, and
+/// [`CounterVec::with`] hands out the series' [`Counter`] handle — hot
+/// paths fetch it once and keep it, so counting is one relaxed atomic
+/// add.
+#[derive(Clone)]
+pub struct CounterVec {
+    labels: &'static [&'static str],
+    series: Arc<Mutex<BTreeMap<Vec<String>, Counter>>>,
+}
+
+impl CounterVec {
+    /// The handle for one tuple of label values, in the order the
+    /// family's labels were registered (created at zero on first use).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `values` does not have one value per label.
+    pub fn with(&self, values: &[&str]) -> Counter {
+        assert_eq!(values.len(), self.labels.len(), "one value per label");
+        let key: Vec<String> = values.iter().map(|v| v.to_string()).collect();
+        self.series
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(key)
+            .or_default()
+            .clone()
+    }
+
+    /// The current value of every series, by label values.
+    pub fn snapshot(&self) -> Vec<(Vec<String>, u64)> {
+        self.series
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .map(|(k, c)| (k.clone(), c.get()))
+            .collect()
+    }
+}
+
 /// A scrape-time gauge callback: returns `(label pairs, value)` samples.
 type GaugeFn = Arc<dyn Fn() -> Vec<(Vec<(String, String)>, i64)> + Send + Sync>;
 
 enum MetricKind {
     Counter(Counter),
+    CounterVec(CounterVec),
     Gauge(Gauge),
     Hist {
         vec: HistogramVec,
@@ -224,6 +265,29 @@ impl Registry {
         let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
         match &families[i].kind {
             MetricKind::Counter(c) => c.clone(),
+            _ => panic!("metric {name:?} already registered with a different type"),
+        }
+    }
+
+    /// Registers (or fetches) a counter family over `labels`.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`Registry::counter`].
+    pub fn counter_vec(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &'static [&'static str],
+    ) -> CounterVec {
+        let vec = CounterVec {
+            labels,
+            series: Arc::new(Mutex::new(BTreeMap::new())),
+        };
+        let i = self.register(name, help, MetricKind::CounterVec(vec));
+        let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
+        match &families[i].kind {
+            MetricKind::CounterVec(vec) => vec.clone(),
             _ => panic!("metric {name:?} already registered with a different type"),
         }
     }
@@ -303,6 +367,18 @@ impl Registry {
                     expo::render_header(&mut out, &fam.name, &fam.help, "counter");
                     expo::render_sample(&mut out, &fam.name, &[], &c.get().to_string());
                 }
+                MetricKind::CounterVec(vec) => {
+                    expo::render_header(&mut out, &fam.name, &fam.help, "counter");
+                    for (values, count) in vec.snapshot() {
+                        let pairs: Vec<(&str, &str)> = vec
+                            .labels
+                            .iter()
+                            .copied()
+                            .zip(values.iter().map(String::as_str))
+                            .collect();
+                        expo::render_sample(&mut out, &fam.name, &pairs, &count.to_string());
+                    }
+                }
                 MetricKind::Gauge(g) => {
                     expo::render_header(&mut out, &fam.name, &fam.help, "gauge");
                     expo::render_sample(&mut out, &fam.name, &[], &g.get().to_string());
@@ -374,6 +450,45 @@ mod tests {
         let snap = v.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].1.count(), 2);
+    }
+
+    #[test]
+    fn counter_vec_renders_what_the_parser_reads_back() {
+        use crate::expo::Exposition;
+        let r = Registry::new();
+        let v = r.counter_vec("req_total", "help", &["route", "status"]);
+        v.with(&["GET /a", "200"]).add(3);
+        // A series exists from the moment its handle is fetched, at zero.
+        let idle = v.with(&["GET /b", "404"]);
+        // Label values are escaped on the way out and restored on the way in.
+        let odd = "quote\" back\\slash new\nline";
+        v.with(&[odd, "500"]).inc();
+        // Re-registering the family and re-fetching a series both return
+        // the handle that already exists.
+        let again = r.counter_vec("req_total", "help", &["route", "status"]);
+        again.with(&["GET /a", "200"]).inc();
+        assert_eq!(v.with(&["GET /a", "200"]).get(), 4);
+
+        let text = r.render_prometheus();
+        let expo = Exposition::parse(&text).unwrap();
+        let fam = &expo.families["req_total"];
+        assert_eq!(fam.kind.as_deref(), Some("counter"));
+        assert_eq!(fam.samples.len(), 3, "{text}");
+        let sample =
+            |route, status| expo.sample("req_total", &[("route", route), ("status", status)]);
+        assert_eq!(sample("GET /a", "200"), Some(4.0));
+        assert_eq!(sample("GET /b", "404"), Some(0.0), "zero-valued series");
+        assert_eq!(sample(odd, "500"), Some(1.0), "{text}");
+        idle.inc();
+        assert_eq!(v.snapshot().len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "one value per label")]
+    fn counter_vec_rejects_a_short_label_tuple() {
+        Registry::new()
+            .counter_vec("c_total", "h", &["a", "b"])
+            .with(&["only-a"]);
     }
 
     #[test]

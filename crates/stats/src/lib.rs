@@ -2,8 +2,7 @@
 //!
 //! The statistics the paper's evaluation uses — percentiles and trimmed
 //! means (all timing tables), Spearman rank correlation with p-values
-//! (Table 4), simple density histograms (Figures 8–11) — plus the
-//! HDR-style [`Histogram`] the trace-driven load harness records per-op
+//! (Table 4) — plus the HDR-style [`Histogram`] the trace-driven load harness records per-op
 //! latency into (fixed log-scaled buckets, O(1) record, associative
 //! merge, bounded-error quantiles up to p99.9 and beyond).
 
@@ -346,64 +345,6 @@ impl Histogram {
     }
 }
 
-/// A fixed-width plotting histogram over `[lo, hi)` (Figures 8–11 density
-/// plots; for latency quantiles use [`Histogram`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DensityHistogram {
-    /// Left edge of the first bin.
-    pub lo: f64,
-    /// Right edge of the last bin.
-    pub hi: f64,
-    /// Bin counts.
-    pub counts: Vec<u64>,
-}
-
-impl DensityHistogram {
-    /// Builds a histogram with `bins` bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(xs: &[f64], lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0 && hi > lo);
-        let mut counts = vec![0u64; bins];
-        let width = (hi - lo) / bins as f64;
-        for &x in xs {
-            if x < lo || x >= hi {
-                continue;
-            }
-            let b = ((x - lo) / width) as usize;
-            counts[b.min(bins - 1)] += 1;
-        }
-        DensityHistogram { lo, hi, counts }
-    }
-
-    /// Normalized densities (sum ≈ 1 over in-range samples).
-    pub fn densities(&self) -> Vec<f64> {
-        let total: u64 = self.counts.iter().sum();
-        if total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / total as f64)
-            .collect()
-    }
-
-    /// Renders a one-line ASCII sparkline (for harness output).
-    pub fn sparkline(&self) -> String {
-        const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-        let max = self.counts.iter().copied().max().unwrap_or(0);
-        if max == 0 {
-            return "▁".repeat(self.counts.len());
-        }
-        self.counts
-            .iter()
-            .map(|&c| GLYPHS[(c * 7 / max) as usize])
-            .collect()
-    }
-}
-
 /// Converts durations to milliseconds as f64 (helper for stats over timings).
 pub fn durations_to_ms(ds: &[std::time::Duration]) -> Vec<f64> {
     ds.iter().map(|d| d.as_secs_f64() * 1000.0).collect()
@@ -491,23 +432,6 @@ mod tests {
         assert!((phi(0.0) - 0.5).abs() < 1e-7);
         assert!((phi(1.96) - 0.975).abs() < 1e-3);
         assert!((phi(-1.96) - 0.025).abs() < 1e-3);
-    }
-
-    #[test]
-    fn histogram_counts_and_density() {
-        let xs = [0.5, 1.5, 1.6, 2.5, 99.0];
-        let h = DensityHistogram::new(&xs, 0.0, 3.0, 3);
-        assert_eq!(h.counts, vec![1, 2, 1]);
-        let d = h.densities();
-        assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert_eq!(h.sparkline().chars().count(), 3);
-    }
-
-    #[test]
-    fn histogram_empty() {
-        let h = DensityHistogram::new(&[], 0.0, 1.0, 4);
-        assert_eq!(h.counts, vec![0; 4]);
-        assert_eq!(h.densities(), vec![0.0; 4]);
     }
 
     #[test]

@@ -745,7 +745,7 @@ impl WireDto for AccessLogLine {
 /// Request body of `POST /v1/repositories`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CreateRepositoryRequest {
-    /// The policy document (the same text the legacy route takes raw).
+    /// The policy document.
     pub policy: String,
 }
 

@@ -11,7 +11,7 @@
 //! cargo run --example http_service -- 8080 &
 //! curl http://127.0.0.1:8080/v1/healthz
 //! curl http://127.0.0.1:8080/v1/repositories/repo-1/packages?limit=3
-//! curl http://127.0.0.1:8080/repositories/repo-1/APKINDEX   # legacy shim
+//! curl http://127.0.0.1:8080/repositories/repo-1/APKINDEX   # what a package manager fetches
 //! ```
 //!
 //! The first argument is the port (default 0 = OS-assigned; the bound
@@ -118,7 +118,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("    curl {base}/v1/healthz");
     println!("    curl {base}/v1/metrics");
     println!("    curl {base}/v1/repositories/{id}/packages?limit=3");
-    println!("    curl {base}/repositories/{id}/APKINDEX   # legacy shim");
+    println!("    curl {base}/repositories/{id}/APKINDEX   # what a package manager fetches");
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }

@@ -1,7 +1,8 @@
-//! Integration tier for the versioned REST API: v1-vs-legacy parity over
-//! real loopback HTTP, the stable error-status contract, the typed
-//! [`TsrClient`] SDK flow, and the middleware stack (rate limiting,
-//! request ids) as mounted by the service.
+//! Integration tier for the versioned REST API: the apk-layout read
+//! routes against their `/v1` rows over real loopback HTTP, the stable
+//! error-status contract, the typed [`TsrClient`] SDK flow, the two
+//! metric views, and the middleware stack (rate limiting, request ids)
+//! as mounted by the service.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -13,7 +14,9 @@ use tsr::crypto::drbg::HmacDrbg;
 use tsr::crypto::{RsaPrivateKey, RsaPublicKey};
 use tsr::mirror::{publish_to_all, Behavior, Mirror, RepoSnapshot};
 use tsr::net::{Continent, LatencyModel};
+use tsr::wire::dto::MetricsDto;
 use tsr::wire::{ErrorEnvelope, IndexFetch, TsrClient, WireDto, WireError};
+use tsr_obs::Exposition;
 
 fn upstream_key() -> &'static RsaPrivateKey {
     static K: OnceLock<RsaPrivateKey> = OnceLock::new();
@@ -77,131 +80,91 @@ fn service(seed: &[u8], names: &[&str]) -> TsrService {
     TsrService::new(seed, mirrors(names), LatencyModel::default(), 1024)
 }
 
-/// All five legacy routes answer byte-compatibly while the same
-/// operations under `/v1` return JSON DTOs.
+/// The two apk-layout read routes a package manager uses are rows of
+/// the one route table: same handlers as their `/v1` rows, so the same
+/// bytes, ETags and 304s. Nothing else is routed outside `/v1`.
 #[test]
-fn v1_and_legacy_parity() {
+fn apk_layout_routes_are_the_v1_handlers() {
     let svc = service(b"parity", &["tool"]);
     let server = svc.serve("127.0.0.1:0").unwrap();
     let base = format!("http://{}", server.local_addr());
     let http = tsr::http::Client::new();
     let sdk = TsrClient::new(&base);
 
-    // create — legacy returns "id\npem" text; v1 returns the DTO.
-    let legacy_create = http
-        .post(&format!("{base}/repositories"), policy_text().as_bytes())
-        .unwrap();
-    assert_eq!(legacy_create.status, 200);
-    let text = String::from_utf8(legacy_create.body.into_vec()).unwrap();
-    let legacy_id = text.lines().next().unwrap().to_string();
-    let legacy_pem = text[legacy_id.len() + 1..].to_string();
-    assert!(legacy_pem.contains("BEGIN"), "legacy body carries the PEM");
+    let id = sdk.create_repository(&policy_text()).unwrap().id;
+    sdk.refresh(&id).unwrap();
+    let repo_url = format!("{base}/repositories/{id}");
 
-    let created = sdk.create_repository(&policy_text()).unwrap();
-    assert_ne!(created.id, legacy_id);
-    assert!(created.public_key_pem.contains("BEGIN"));
-
-    // refresh — the legacy one-liner must agree with the v1 DTO counts.
-    let report = sdk.refresh(&created.id).unwrap();
-    let legacy_refresh = http
-        .post(&format!("{base}/repositories/{legacy_id}/refresh"), &[])
+    // index — identical bytes and ETag, and the ETag revalidates.
+    let (v1_index, v1_etag) = sdk.index(&id).unwrap();
+    let apk_index = http.get(&format!("{repo_url}/APKINDEX")).unwrap();
+    assert_eq!(apk_index.status, 200);
+    assert_eq!(apk_index.body, v1_index);
+    assert_eq!(apk_index.headers.get("etag"), v1_etag.as_ref());
+    let revalidate = [("if-none-match", v1_etag.as_deref().unwrap())];
+    let apk_cond = http
+        .request("GET", &format!("{repo_url}/APKINDEX"), &[], &revalidate)
         .unwrap();
-    assert_eq!(legacy_refresh.status, 200);
-    assert_eq!(
-        String::from_utf8(legacy_refresh.body.into_vec()).unwrap(),
-        format!(
-            "downloaded={} sanitized={} rejected={}\n",
-            report.downloaded,
-            report.sanitized.len(),
-            report.rejected.len()
-        ),
-        "identical policies against identical mirrors refresh identically"
-    );
+    assert_eq!(apk_cond.status, 304);
 
-    // index — same repository through both surfaces: identical bytes.
-    let legacy_index = http
-        .get(&format!("{base}/repositories/{legacy_id}/APKINDEX"))
-        .unwrap();
-    assert_eq!(legacy_index.status, 200);
-    let (v1_index, etag) = sdk.index(&legacy_id).unwrap();
-    assert_eq!(legacy_index.body, v1_index);
-    assert!(etag.is_some(), "v1 index carries an ETag");
+    // package — identical bytes.
+    let apk_pkg = http.get(&format!("{repo_url}/packages/tool")).unwrap();
+    assert_eq!(apk_pkg.status, 200);
+    assert!(apk_pkg.headers.contains_key("etag"));
+    assert_eq!(apk_pkg.body, sdk.package(&id, "tool").unwrap());
 
-    // package — identical bytes through both surfaces.
-    let legacy_pkg = http
-        .get(&format!("{base}/repositories/{legacy_id}/packages/tool"))
-        .unwrap();
-    assert_eq!(legacy_pkg.status, 200);
-    assert_eq!(legacy_pkg.body, sdk.package(&legacy_id, "tool").unwrap());
-
-    // attestation — the legacy three hex lines equal the v1 DTO fields.
-    let legacy_att = http.get(&format!("{base}/attestation/6e6f6e6365")).unwrap();
-    assert_eq!(legacy_att.status, 200);
-    let legacy_lines: Vec<String> = String::from_utf8(legacy_att.body.into_vec())
-        .unwrap()
-        .lines()
-        .map(str::to_string)
-        .collect();
-    let platform = RsaPublicKey::from_pem(&svc.platform_key_pem()).unwrap();
-    let att = sdk
-        .attest(b"nonce", &platform, tsr::core::service::ENCLAVE_CODE)
-        .unwrap();
-    assert_eq!(
-        legacy_lines,
-        vec![att.mrenclave, att.report_data, att.signature]
-    );
+    // The administrative operations exist under /v1 only.
+    for (method, path) in [
+        ("POST", "/repositories".to_string()),
+        ("POST", format!("/repositories/{id}/refresh")),
+        ("GET", "/attestation/6e6f6e6365".to_string()),
+    ] {
+        let resp = http
+            .request(method, &format!("{base}{path}"), &[], &[])
+            .unwrap();
+        assert_eq!(resp.status, 404, "{method} {path}");
+    }
 
     server.shutdown();
 }
 
-/// Legacy behaviours older clients depend on keep answering identically.
+/// One error shape everywhere: unknown routes, wrong methods and
+/// failures on the apk-layout routes all answer with the JSON envelope.
 #[test]
-fn legacy_surface_byte_compatibility() {
-    let svc = service(b"legacy-compat", &["tool"]);
-
-    // Bad policy → 400, plain text.
-    let resp = svc.handle(&request("POST", "/repositories", b"not a policy"));
-    assert_eq!(resp.status, 400);
-
-    // Unknown route → 404 with the historical body.
-    let resp = svc.handle(&request("GET", "/bogus", b""));
-    assert_eq!(resp.status, 404);
-    assert_eq!(resp.body, b"unknown route");
-
-    // Unknown repository → 404 on refresh/index/package.
-    for (method, path) in [
-        ("POST", "/repositories/nope/refresh"),
-        ("GET", "/repositories/nope/APKINDEX"),
-        ("GET", "/repositories/nope/packages/x"),
-    ] {
-        let resp = svc.handle(&request(method, path, b""));
-        assert_eq!(resp.status, 404, "{method} {path}");
-        assert_eq!(
-            resp.headers.get("x-tsr-error-code").map(String::as_str),
-            Some("not_found")
-        );
-    }
-
-    // Ghost package after refresh → 404.
+fn every_error_is_the_json_envelope() {
+    let svc = service(b"one-envelope", &["tool"]);
     let (id, _) = svc.create_repository(&policy_text()).unwrap();
     svc.refresh(&id).unwrap();
-    let resp = svc.handle(&request(
-        "GET",
-        &format!("/repositories/{id}/packages/ghost"),
-        b"",
-    ));
-    assert_eq!(resp.status, 404);
+    let code_of = |method: &str, path: &str, status: u16| {
+        let resp = svc.handle(&request(method, path, b""));
+        assert_eq!(resp.status, status, "{method} {path}");
+        let env = ErrorEnvelope::decode(&String::from_utf8_lossy(&resp.body)).unwrap();
+        (env.code, resp.headers.get("allow").cloned())
+    };
 
-    // Bad attestation nonce → 400 with the historical message.
-    let resp = svc.handle(&request("GET", "/attestation/zz", b""));
-    assert_eq!(resp.status, 400);
-    assert_eq!(resp.body, b"nonce must be hex");
+    // Unknown route, inside /v1 or not.
+    assert_eq!(code_of("GET", "/bogus", 404).0, "not_found");
+    assert_eq!(code_of("GET", "/v1/bogus", 404).0, "not_found");
 
-    // Wrong method on a legacy path keeps the historical plain-text 404
-    // (405 + JSON is a /v1-only shape).
-    let resp = svc.handle(&request("GET", "/repositories", b""));
-    assert_eq!(resp.status, 404);
-    assert_eq!(resp.body, b"unknown route");
+    // Unknown repository / package on the apk-layout routes.
+    assert_eq!(
+        code_of("GET", "/repositories/nope/APKINDEX", 404).0,
+        "not_found"
+    );
+    assert_eq!(
+        code_of("GET", "/repositories/nope/packages/x", 404).0,
+        "not_found"
+    );
+    let ghost = format!("/repositories/{id}/packages/ghost");
+    assert_eq!(code_of("GET", &ghost, 404).0, "not_found");
+
+    // Wrong method on a known path → 405 with Allow, there too.
+    let (code, allow) = code_of("POST", &format!("/repositories/{id}/APKINDEX"), 405);
+    assert_eq!(code, "method_not_allowed");
+    assert_eq!(allow.as_deref(), Some("GET"));
+
+    // Bad attestation nonce.
+    assert_eq!(code_of("GET", "/v1/attestation/zz", 400).0, "invalid_nonce");
 }
 
 fn request(method: &str, path: &str, body: &[u8]) -> tsr::http::Request {
@@ -214,8 +177,7 @@ fn request(method: &str, path: &str, body: &[u8]) -> tsr::http::Request {
 }
 
 /// Every `CoreError` variant surfaces with its stable status and
-/// machine-readable code on both surfaces — most importantly
-/// `RollbackDetected` → 409 (previously a 500/404 soup).
+/// machine-readable code — most importantly `RollbackDetected` → 409.
 #[test]
 fn error_statuses_are_stable_and_distinct() {
     let svc = service(b"errors", &["tool"]);
@@ -239,17 +201,15 @@ fn error_statuses_are_stable_and_distinct() {
     assert_eq!(env.code, "rollback_detected");
     assert!(env.message.contains("rollback"));
 
-    // legacy: same status, code in the header, plain-text body.
+    // The package manager's route: the same handler, the same answer.
     let resp = svc.handle(&request(
         "GET",
         &format!("/repositories/{id}/packages/tool"),
         b"",
     ));
     assert_eq!(resp.status, 409);
-    assert_eq!(
-        resp.headers.get("x-tsr-error-code").map(String::as_str),
-        Some("rollback_detected")
-    );
+    let env = ErrorEnvelope::decode(&String::from_utf8_lossy(&resp.body)).unwrap();
+    assert_eq!(env.code, "rollback_detected");
 
     // Refresh rollback (stale mirror majority) → 409 as well: advance to
     // snapshot 2 first, then have every mirror replay snapshot 1.
@@ -295,6 +255,117 @@ fn error_statuses_are_stable_and_distinct() {
     ));
     assert_eq!(resp.status, 405);
     assert_eq!(resp.headers.get("allow").map(String::as_str), Some("GET"));
+}
+
+/// The JSON view of `GET /v1/metrics` is a projection of the registry
+/// the Prometheus view renders: the two cannot disagree.
+#[test]
+fn json_and_prometheus_metric_views_agree() {
+    let svc = service(b"two-views", &["tool"]);
+    let (id, _) = svc.create_repository(&policy_text()).unwrap();
+    let get = |path: &str, etag: Option<&str>| {
+        let mut req = request("GET", path, b"");
+        if let Some(etag) = etag {
+            req.headers.insert("if-none-match".into(), etag.into());
+        }
+        svc.handle(&req)
+    };
+    let refresh = request("POST", &format!("/v1/repositories/{id}/refresh"), b"");
+    assert_eq!(svc.handle(&refresh).status, 200);
+    let index_path = format!("/v1/repositories/{id}/index");
+    let first = get(&index_path, None);
+    assert_eq!(first.status, 200);
+    assert_eq!(
+        get(&index_path, first.headers.get("etag").map(String::as_str)).status,
+        304
+    );
+    assert_eq!(get("/v1/repositories/nope", None).status, 404);
+    assert_eq!(get("/nowhere", None).status, 404);
+
+    let prom = get("/v1/metrics?format=prometheus", None);
+    let json = get("/v1/metrics", None);
+    let json = MetricsDto::decode(&String::from_utf8_lossy(&json.body)).unwrap();
+
+    let expo = Exposition::parse(&String::from_utf8_lossy(&prom.body)).unwrap();
+    let mut projected = MetricsDto::default();
+    for s in &expo.families["tsr_http_requests_total"].samples {
+        let status: u16 = s.label("status").unwrap().parse().unwrap();
+        projected
+            .requests
+            .entry(s.label("route").unwrap().to_string())
+            .or_default()
+            .insert(status, s.value as u64);
+    }
+    for s in &expo.families["tsr_core_events_total"].samples {
+        projected
+            .counters
+            .insert(s.label("event").unwrap().to_string(), s.value as u64);
+    }
+    // The only request between the two renderings is the Prometheus
+    // scrape itself, counted once it was answered.
+    *projected
+        .requests
+        .entry("GET /v1/metrics".into())
+        .or_default()
+        .entry(200)
+        .or_default() += 1;
+    assert_eq!(json, projected);
+    assert_eq!(json.requests["unmatched"][&404], 1);
+    assert_eq!(json.requests["GET /v1/repositories/:id/index"][&304], 1);
+    assert_eq!(json.counters["index_not_modified_lock_free"], 1);
+}
+
+/// Every request that reaches the router is counted exactly once, so on
+/// a single node Σ`tsr_http_requests_total` equals
+/// Σ`tsr_http_request_duration_us_count` — unmatched requests included.
+#[test]
+fn request_and_latency_counts_agree() {
+    let svc = service(b"count-sum", &["tool"]);
+    let server = svc.serve("127.0.0.1:0").unwrap();
+    let base = format!("http://{}", server.local_addr());
+    let http = tsr::http::Client::new();
+    let sdk = TsrClient::new(&base);
+
+    let id = sdk.create_repository(&policy_text()).unwrap().id;
+    sdk.refresh(&id).unwrap();
+    let (_, etag) = sdk.index(&id).unwrap();
+    assert_eq!(
+        sdk.index_if_none_match(&id, &etag.unwrap()).unwrap(),
+        IndexFetch::NotModified
+    );
+    assert_eq!(http.get(&format!("{base}/nowhere")).unwrap().status, 404);
+    assert_eq!(http.get(&format!("{base}/v1/nowhere")).unwrap().status, 404);
+    let wrong_method = http
+        .post(&format!("{base}/v1/repositories/{id}/index"), &[])
+        .unwrap();
+    assert_eq!(wrong_method.status, 405);
+
+    let (text, _) = sdk.get_text("/v1/metrics?format=prometheus").unwrap();
+    let expo = Exposition::parse(&text).unwrap();
+    let sum = |family: &str, sample: &str| -> f64 {
+        let samples = &expo.families[family].samples;
+        samples
+            .iter()
+            .filter(|s| s.name == sample)
+            .map(|s| s.value)
+            .sum()
+    };
+    let requests = sum("tsr_http_requests_total", "tsr_http_requests_total");
+    let latencies = sum(
+        "tsr_http_request_duration_us",
+        "tsr_http_request_duration_us_count",
+    );
+    assert_eq!(requests, 7.0, "{text}");
+    assert_eq!(requests, latencies, "{text}");
+    assert_eq!(
+        expo.sample(
+            "tsr_http_requests_total",
+            &[("route", "unmatched"), ("status", "404")]
+        ),
+        Some(2.0)
+    );
+
+    server.shutdown();
 }
 
 /// The full typed-SDK flow against a live server: CRUD + list + info,

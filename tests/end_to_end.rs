@@ -99,6 +99,22 @@ fn full_flow_over_http_keeps_attestation_green() {
     let mut os = boot_os(&s, b"os-1");
     let monitor = monitor_for(&s, &os);
 
+    // What the package manager fetches is the `/v1` index, byte for
+    // byte and ETag for ETag: one handler behind both paths.
+    let http = tsr::http::Client::new();
+    let apk = http.get(&format!("{base}/APKINDEX")).unwrap();
+    let v1 = http
+        .get(&format!(
+            "http://{}/v1/repositories/{}/index",
+            server.local_addr(),
+            s.repo_id
+        ))
+        .unwrap();
+    assert_eq!((apk.status, v1.status), (200, 200));
+    assert!(apk.headers.contains_key("etag"));
+    assert_eq!(apk.headers.get("etag"), v1.headers.get("etag"));
+    assert_eq!(apk.body, v1.body);
+
     let pm = PackageManager::new(base);
     let index = pm.fetch_index(&os).unwrap();
     assert!(index.len() >= 20, "most tiny-workload packages sanitized");

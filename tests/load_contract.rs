@@ -130,13 +130,11 @@ fn not_modified_is_served_without_repository_locks() {
     });
     held_rx.recv().expect("lock is held");
 
-    let before = world
-        .svc
-        .api_metrics()
-        .counter("index_not_modified_lock_free");
+    let lock_free = world.svc.event_counter("index_not_modified_lock_free");
+    let before = lock_free.get();
     // The conditional GET must complete (well before the 5 s client
     // timeout) even though the shard lock is held: the 304 comes from
-    // the ETag side-cache.
+    // the serve cache.
     let fetch = client
         .index_if_none_match(&world.repo_id, &etag)
         .expect("conditional GET while shard lock is held");
@@ -145,10 +143,7 @@ fn not_modified_is_served_without_repository_locks() {
         tsr_wire::IndexFetch::NotModified,
         "unchanged index must answer 304"
     );
-    let after = world
-        .svc
-        .api_metrics()
-        .counter("index_not_modified_lock_free");
+    let after = lock_free.get();
     assert!(
         after > before,
         "the 304 must take the lock-free fast path (counter {before} -> {after})"
