@@ -36,7 +36,7 @@ pub mod sim;
 pub mod transport;
 
 pub use error::ClusterError;
-pub use node::{state_from_dto, state_to_dto, AntiEntropyReport, ClusterNode};
+pub use node::{AntiEntropyReport, ClusterNode};
 pub use ring::{rendezvous_score, Ring, ALLOCATOR_SHARD};
 pub use router::ClusterRouter;
 pub use sim::{ClusterScenario, ClusterSimReport};

@@ -21,90 +21,19 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError, RwLock};
 
-use tsr_core::{CoreError, ReplicatedState, TsrService};
-use tsr_crypto::hex;
-use tsr_http::middleware::{AccessLog, CatchPanic, Chain, RequestId};
+use tsr_core::{ApiOptions, CoreError, ReplicatedState, TsrService};
 use tsr_http::router::{Recognized, Router};
-use tsr_http::{Request, Response, Server};
+use tsr_http::{Request, Response, Server, ServerConfig};
 use tsr_obs::{current_request_id, RequestScope};
 use tsr_quorum::BallotBox;
 use tsr_wire::{
-    BlobDto, ClusterConfigDto, ClusterDigestDto, ErrorEnvelope, NodeInfoDto, PackageRefDto,
-    ReplicateAckDto, ReplicateRequestDto, RepoDigestDto, RepoSealDto, RepositoryCreated, WireDto,
+    ClusterConfigDto, ClusterDigestDto, ErrorEnvelope, NodeInfoDto, ReplicateAckDto,
+    ReplicateRequestDto, RepoDigestDto, RepositoryCreated, WireDto,
 };
 
 use crate::error::ClusterError;
 use crate::ring::Ring;
 use crate::transport::NodeTransport;
-
-/// Converts a core [`ReplicatedState`] into its wire form (binary
-/// payloads hex-encoded).
-pub fn state_to_dto(state: &ReplicatedState) -> RepoSealDto {
-    RepoSealDto {
-        id: state.id.clone(),
-        policy_text: state.policy_text.clone(),
-        upstream_index: state.upstream_index.clone(),
-        sanitized_index: state.sanitized_index.clone(),
-        packages: state
-            .packages
-            .iter()
-            .map(|(name, original, sanitized)| PackageRefDto {
-                name: name.clone(),
-                original_hash: original.clone(),
-                sanitized_hash: sanitized.clone(),
-            })
-            .collect(),
-        sealed_hex: hex::to_hex(&state.sealed),
-        seal_counter: state.seal_counter,
-        index_etag: state.index_etag.clone(),
-        blobs: state
-            .blobs
-            .iter()
-            .map(|(hash, bytes)| BlobDto {
-                hash: hash.clone(),
-                bytes_hex: hex::to_hex(bytes),
-            })
-            .collect(),
-    }
-}
-
-/// Decodes a wire [`RepoSealDto`] back into the core form.
-///
-/// # Errors
-///
-/// [`ClusterError::Protocol`] when a hex payload does not decode.
-pub fn state_from_dto(dto: &RepoSealDto) -> Result<ReplicatedState, ClusterError> {
-    let sealed = hex::from_hex(&dto.sealed_hex)
-        .ok_or_else(|| ClusterError::Protocol(format!("seal of {} is not hex", dto.id)))?;
-    let mut blobs = Vec::with_capacity(dto.blobs.len());
-    for blob in &dto.blobs {
-        let bytes = hex::from_hex(&blob.bytes_hex).ok_or_else(|| {
-            ClusterError::Protocol(format!("blob {} of {} is not hex", blob.hash, dto.id))
-        })?;
-        blobs.push((blob.hash.clone(), Arc::<[u8]>::from(bytes)));
-    }
-    Ok(ReplicatedState {
-        id: dto.id.clone(),
-        policy_text: dto.policy_text.clone(),
-        upstream_index: dto.upstream_index.clone(),
-        sanitized_index: dto.sanitized_index.clone(),
-        packages: dto
-            .packages
-            .iter()
-            .map(|p| {
-                (
-                    p.name.clone(),
-                    p.original_hash.clone(),
-                    p.sanitized_hash.clone(),
-                )
-            })
-            .collect(),
-        sealed,
-        seal_counter: dto.seal_counter,
-        index_etag: dto.index_etag.clone(),
-        blobs,
-    })
-}
 
 /// What one anti-entropy round did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -277,22 +206,25 @@ impl ClusterNode {
         }
     }
 
-    /// Binds an HTTP server exposing [`Self::handle`].
+    /// Binds an HTTP server exposing [`Self::handle`] behind the
+    /// service's middleware stack ([`TsrService::mount`]), with no rate
+    /// limit — the bucket is global and would throttle peer pushes — and
+    /// the transport's default body cap: a full-state push outgrows the
+    /// API's.
     ///
     /// # Errors
     ///
     /// [`tsr_http::HttpError`] when the address cannot be bound.
     pub fn serve(&self, addr: &str) -> Result<Server, tsr_http::HttpError> {
         let node = self.clone();
-        // The minimal middleware stack: panic containment, request-id
-        // injection, and the access log — which also strips the internal
-        // x-tsr-route/x-tsr-tenant attribution headers the service
-        // attaches for it, so they never leak onto the wire.
-        let chain = Chain::new(move |req: &mut Request| node.handle(req))
-            .wrap(AccessLog::default())
-            .wrap(RequestId::new())
-            .wrap(CatchPanic);
-        Server::bind(addr, chain.into_handler())
+        let options = ApiOptions {
+            rate_limit: None,
+            max_body: ServerConfig::default().max_body,
+            ..ApiOptions::default()
+        };
+        self.shared
+            .service
+            .mount(addr, options, move |req| node.handle(req))
     }
 
     /// The compact state summary anti-entropy exchanges.
@@ -314,18 +246,20 @@ impl ClusterNode {
         }
     }
 
-    /// Exports one repository's replicable state in wire form.
+    /// Exports one repository's replicable state.
     ///
     /// # Errors
     ///
     /// [`ClusterError::NotFound`] for unknown ids,
     /// [`ClusterError::Protocol`] when the export fails.
-    pub fn export_seal(&self, repo: &str) -> Result<RepoSealDto, ClusterError> {
-        match self.shared.service.export_replicated_state(repo) {
-            Ok(state) => Ok(state_to_dto(&state)),
-            Err(CoreError::NotFound(m)) => Err(ClusterError::NotFound(m)),
-            Err(e) => Err(ClusterError::Protocol(e.to_string())),
-        }
+    pub fn export_seal(&self, repo: &str) -> Result<ReplicatedState, ClusterError> {
+        self.shared
+            .service
+            .export_replicated_state(repo)
+            .map_err(|e| match e {
+                CoreError::NotFound(m) => ClusterError::NotFound(m),
+                e => ClusterError::Protocol(e.to_string()),
+            })
     }
 
     /// Applies a pushed replicated state, answering with this node's
@@ -360,16 +294,12 @@ impl ClusterNode {
             // gossip delivers the new config (`join` clears this).
             self.shared.service.set_cluster_epoch_ok(false);
         }
-        let state = match state_from_dto(&push.state) {
-            Ok(state) => state,
-            Err(e) => return nack(e.to_string()),
-        };
-        let ack = match self.shared.service.apply_replicated_state(&state) {
+        let ack = match self.shared.service.apply_replicated_state(&push.state) {
             Ok(etag) => ReplicateAckDto {
                 node: self.shared.info.id.clone(),
-                repo: state.id.clone(),
+                repo: push.state.id.clone(),
                 index_etag: etag,
-                seal_counter: state.seal_counter,
+                seal_counter: push.state.seal_counter,
                 accepted: true,
                 detail: String::new(),
                 request_id: push.request_id.clone(),
@@ -448,7 +378,7 @@ impl ClusterNode {
         let push = ReplicateRequestDto {
             epoch: ring.config().epoch,
             primary: self.shared.info.id.clone(),
-            state: state_to_dto(&state),
+            state,
             request_id: request_id.clone(),
         };
         let mut ballots = BallotBox::new();
@@ -515,7 +445,7 @@ impl ClusterNode {
         let push = ReplicateRequestDto {
             epoch: ring.config().epoch,
             primary: self.shared.info.id.clone(),
-            state: state_to_dto(&state),
+            state,
             request_id: current_request_id().unwrap_or_default(),
         };
         for owner in ring.owners(id) {
@@ -566,8 +496,7 @@ impl ClusterNode {
                     .shared
                     .transport
                     .fetch_seal(peer, &repo.id)
-                    .and_then(|seal| {
-                        let state = state_from_dto(&seal)?;
+                    .and_then(|state| {
                         self.shared
                             .service
                             .apply_replicated_state(&state)
@@ -599,9 +528,9 @@ impl ClusterNode {
         report
     }
 
-    /// Simulates a process restart: drops all in-memory repository
-    /// state and recovers from the durable store + TPM-sealed
-    /// metadata, exactly like [`TsrService::crash_restart`].
+    /// Simulates an enclave restart: [`TsrService::crash_restart`] — an
+    /// in-memory crash followed by an unseal of what the node already
+    /// holds. The durable store is not re-read.
     pub fn restart(&self) -> Vec<(String, Result<(), CoreError>)> {
         self.shared.service.crash_restart()
     }
@@ -794,7 +723,7 @@ mod tests {
         let push = ReplicateRequestDto {
             epoch: 0, // config is at epoch 1
             primary: fx.primary().info().id.clone(),
-            state: state_to_dto(&state),
+            state,
             request_id: "req-test-stale".to_string(),
         };
         let ack = fx.replica(0).apply_replicate(&push);

@@ -21,7 +21,7 @@ use std::time::Duration;
 use tsr_http::{Client, Request, Response};
 use tsr_wire::{
     ClusterConfigDto, ClusterDigestDto, NodeInfoDto, ReplicateAckDto, ReplicateRequestDto,
-    RepoSealDto, TsrClient, WireError,
+    ReplicatedState, TsrClient, WireError,
 };
 
 use crate::error::ClusterError;
@@ -55,7 +55,7 @@ pub trait NodeTransport: Send + Sync {
     /// # Errors
     ///
     /// [`ClusterError`] on transport failure or unknown repository.
-    fn fetch_seal(&self, to: &NodeInfoDto, repo: &str) -> Result<RepoSealDto, ClusterError>;
+    fn fetch_seal(&self, to: &NodeInfoDto, repo: &str) -> Result<ReplicatedState, ClusterError>;
 
     /// Fetches `to`'s compact state digest (`GET /v1/cluster/digest`).
     ///
@@ -259,13 +259,13 @@ impl NodeTransport for LocalTransport {
         Ok(node.apply_replicate(req))
     }
 
-    fn fetch_seal(&self, to: &NodeInfoDto, repo: &str) -> Result<RepoSealDto, ClusterError> {
+    fn fetch_seal(&self, to: &NodeInfoDto, repo: &str) -> Result<ReplicatedState, ClusterError> {
         let (node, lying) = self.cluster.target(&self.from_continent, to)?;
         let mut seal = node.export_seal(repo)?;
         if lying {
             // Tampered sealed metadata: the puller's unseal fails, so
             // poisoned anti-entropy pulls are rejected, not applied.
-            seal.sealed_hex = forge(&seal.sealed_hex);
+            seal.sealed.iter_mut().for_each(|b| *b ^= 0x5a);
             seal.seal_counter = seal.seal_counter.saturating_add(1_000);
         }
         Ok(seal)
@@ -360,7 +360,7 @@ impl NodeTransport for HttpTransport {
             .map_err(wire_err)
     }
 
-    fn fetch_seal(&self, to: &NodeInfoDto, repo: &str) -> Result<RepoSealDto, ClusterError> {
+    fn fetch_seal(&self, to: &NodeInfoDto, repo: &str) -> Result<ReplicatedState, ClusterError> {
         self.with_client(to, |c| c.cluster_seal(repo))
             .map_err(wire_err)
     }

@@ -11,8 +11,9 @@
 //! - [`cache`]: the package cache with SGX-sealing + TPM-monotonic-counter
 //!   rollback protection (§5.5),
 //! - [`repository`]: one client's repository (quorum refresh, serving),
-//! - [`service`]: the multi-tenant service (§5.2) — tenant lifecycle
-//!   and replication hooks,
+//! - [`service`]: the multi-tenant service (§5.2) — tenant lifecycle,
+//! - [`replica`]: the one image of a repository's state, and the one way
+//!   it becomes durable, leaves for a peer and is installed,
 //! - [`api`]: the versioned `/v1` JSON API (route table, request and
 //!   event counters, error-code mapping) plus the two apk-layout read
 //!   routes package managers fetch from,
@@ -39,6 +40,7 @@ pub mod error;
 pub mod hot;
 pub mod parallel;
 pub mod policy;
+pub mod replica;
 pub mod repository;
 pub mod sanitizer;
 pub mod serve;
@@ -50,7 +52,8 @@ pub use error::CoreError;
 pub use hot::DEFAULT_HOT_BLOB_BUDGET;
 pub use parallel::{default_workers, parallel_map_ordered};
 pub use policy::{InitConfigFile, MirrorRef, Policy};
+pub use replica::ReplicatedState;
 pub use repository::{RefreshReport, TsrRepository};
 pub use sanitizer::{PackageSanitizer, PhaseTimings, SanitizeRecord};
 pub use serve::ApiOptions;
-pub use service::{ReplicatedState, TsrService};
+pub use service::TsrService;

@@ -1,0 +1,585 @@
+//! One path for repository state. A repository's durable, replicable
+//! state is one image type ([`ReplicatedState`]) with one way out and one
+//! way in, shared by a local refresh, crash recovery, a replicated push
+//! and an anti-entropy pull:
+//!
+//! - `image_of` — the only walk over *upstream index ×
+//!   package cache*;
+//! - `commit` — the only place state becomes durable: blobs
+//!   into the content-addressed store, then the `RepoCreated` /
+//!   `RefreshApplied` / `SealUpdated` records into the WAL;
+//! - `install` — the only place a seal is installed: sealed
+//!   blob → TPM counter replay → unseal → package cache filled for the
+//!   hashes the *unsealed* indexes pin.
+//!
+//! A refresh is `commit(image_of(..))`; recovery is `install` from the
+//! store; [`TsrService::apply_replicated_state`] is vet → `commit` →
+//! `install`.
+
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
+
+use tsr_apk::Index;
+use tsr_crypto::hex;
+use tsr_store::WalRecord;
+pub use tsr_wire::ReplicatedState;
+
+use crate::cache::SealedState;
+use crate::error::CoreError;
+use crate::policy::Policy;
+use crate::repository::TsrRepository;
+use crate::service::{live, lock, seal_err, store_err, TsrService};
+
+/// The `(package, content hash, is_sanitized)` triples one index pins.
+fn pins(
+    idx: Option<&Index>,
+    is_sanitized: bool,
+) -> impl Iterator<Item = (String, String, bool)> + '_ {
+    idx.into_iter()
+        .flat_map(Index::iter)
+        .map(move |e| (e.name.clone(), e.content_hash.clone(), is_sanitized))
+}
+
+/// The image of `repo` as it stands: policy, index texts, the sealed
+/// metadata with `seal_counter` (the TPM counter value it is bound to), and
+/// every cached blob the upstream index names (deduplicated by content
+/// hash).
+pub(crate) fn image_of(repo: &TsrRepository, seal_counter: u64) -> ReplicatedState {
+    let upstream = repo.upstream_index();
+    let sanitized = repo.sanitized_index();
+    let mut packages = Vec::new();
+    let mut blobs: Vec<(String, Arc<[u8]>)> = Vec::new();
+    let mut have = std::collections::BTreeSet::new();
+    for entry in upstream.into_iter().flat_map(|idx| idx.iter()) {
+        // Policy-excluded packages were never downloaded.
+        let Some((orig, _)) = repo.cache().read_original_shared(&entry.name) else {
+            continue;
+        };
+        if have.insert(entry.content_hash.clone()) {
+            blobs.push((entry.content_hash.clone(), orig));
+        }
+        // Empty for a package the sanitizer rejected.
+        let shash = sanitized
+            .and_then(|idx| idx.get(&entry.name))
+            .map(|e| e.content_hash.clone())
+            .unwrap_or_default();
+        if !shash.is_empty() && have.insert(shash.clone()) {
+            if let Some((san, _)) = repo.cache().read_sanitized_shared(&entry.name) {
+                blobs.push((shash.clone(), san));
+            }
+        }
+        packages.push((entry.name.clone(), entry.content_hash.clone(), shash));
+    }
+    ReplicatedState {
+        id: repo.id.clone(),
+        policy_text: repo.policy().to_text(),
+        upstream_index: upstream.map(Index::to_text).unwrap_or_default(),
+        sanitized_index: sanitized.map(Index::to_text).unwrap_or_default(),
+        packages,
+        sealed: repo.sealed_disk().map(<[u8]>::to_vec).unwrap_or_default(),
+        seal_counter,
+        index_etag: repo.signed_index_etag().unwrap_or_default().to_string(),
+        blobs,
+    }
+}
+
+impl TsrService {
+    /// The TPM monotonic-counter value `repo`'s seal is bound to. Lock
+    /// order `repository → tpm`.
+    fn seal_counter(&self, repo: &TsrRepository) -> Result<u64, CoreError> {
+        lock(&self.shared.tpm)
+            .read_counter(repo.counter_id())
+            .map_err(seal_err)
+    }
+
+    /// Makes `image` durable (no-op without a store): logs the creation
+    /// when the repository is new to this node, writes the blobs the
+    /// store does not hold yet, then logs the refresh and the seal. Runs
+    /// under the repository shard lock, before the state is observable;
+    /// lock order `repository → store`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::SealedState`] when a durable write fails — the state
+    /// must not be published in that case.
+    pub(crate) fn commit(&self, image: &ReplicatedState, is_new: bool) -> Result<(), CoreError> {
+        let Some(store) = &self.shared.store else {
+            return Ok(());
+        };
+        let created = is_new.then(|| WalRecord::RepoCreated {
+            id: image.id.clone(),
+            policy_text: image.policy_text.clone(),
+        });
+        let mut sealed = Vec::new();
+        if !image.sealed.is_empty() {
+            sealed.push(WalRecord::RefreshApplied {
+                id: image.id.clone(),
+                upstream_index: image.upstream_index.clone(),
+                sanitized_index: image.sanitized_index.clone(),
+                packages: image.packages.clone(),
+            });
+            sealed.push(WalRecord::SealUpdated {
+                id: image.id.clone(),
+                sealed: image.sealed.clone(),
+                counter: image.seal_counter,
+            });
+        }
+        let mut eng = lock(store);
+        if let Some(record) = &created {
+            eng.append(record).map_err(store_err)?;
+        }
+        for (hash, blob) in &image.blobs {
+            if !eng.has_blob(hash) {
+                eng.put_blob_shared(blob).map_err(store_err)?;
+            }
+        }
+        for record in &sealed {
+            eng.append(record).map_err(store_err)?;
+        }
+        self.metrics().count_store(&eng);
+        drop(eng);
+        created
+            .iter()
+            .chain(&sealed)
+            .for_each(|r| self.journal_wal(r));
+        Ok(())
+    }
+
+    /// Installs a seal into `repo` (no-op for the empty seal of a
+    /// never-refreshed repository): sets the sealed blob, replays the TPM
+    /// monotonic counter up to `counter` (a fresh counter starts at 0 and
+    /// the unseal check requires hardware == sealed), unseals and
+    /// re-signs, then fills the package cache for the content hashes
+    /// pinned in the *just-unsealed* indexes — each blob from `pushed`,
+    /// else from the local blob store. Nothing the sender says about
+    /// which hash belongs to which package is used, and a WAL torn
+    /// between the refresh and seal records still recovers exactly the
+    /// state the seal describes (older blobs are never deleted).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::SealedState`] / [`CoreError::RollbackDetected`] when
+    /// the seal does not unseal at `counter`.
+    pub(crate) fn install(
+        &self,
+        repo: &mut TsrRepository,
+        sealed: &[u8],
+        counter: u64,
+        pushed: &[(String, Arc<[u8]>)],
+    ) -> Result<(), CoreError> {
+        if sealed.is_empty() {
+            return Ok(());
+        }
+        repo.set_sealed_disk(sealed.to_vec());
+        {
+            let mut tpm = lock(&self.shared.tpm);
+            let cid = repo.counter_id();
+            while tpm.read_counter(cid).map_err(seal_err)? < counter {
+                tpm.increment_counter(cid).map_err(seal_err)?;
+            }
+            repo.restore(&self.enclave(), &tpm)?;
+        }
+        let wanted: Vec<_> = pins(repo.upstream_index(), false)
+            .chain(pins(repo.sanitized_index(), true))
+            .collect();
+        let pushed: BTreeMap<&str, &Arc<[u8]>> =
+            pushed.iter().map(|(h, b)| (h.as_str(), b)).collect();
+        let mut eng = self.shared.store.as_ref().map(lock);
+        for (name, hash, is_sanitized) in wanted {
+            let blob = match (pushed.get(hash.as_str()), &mut eng) {
+                (Some(blob), _) => Arc::clone(blob),
+                (None, Some(eng)) if eng.has_blob(&hash) => {
+                    eng.get_blob(&hash).map_err(store_err)?
+                }
+                // Policy-excluded upstream entries were never downloaded;
+                // anything else missing re-downloads on the next refresh.
+                _ => continue,
+            };
+            if is_sanitized {
+                repo.cache_mut().store_sanitized(&name, blob);
+            } else {
+                repo.cache_mut().store_original(&name, blob);
+            }
+        }
+        Ok(())
+    }
+
+    /// Exports the image of one repository — what a cluster primary
+    /// pushes to replicas after a refresh and what anti-entropy serves;
+    /// [`Self::apply_replicated_state`] is the inverse.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NotFound`] for unknown ids; [`CoreError::SealedState`]
+    /// when the TPM counter cannot be read.
+    pub fn export_replicated_state(&self, id: &str) -> Result<ReplicatedState, CoreError> {
+        let shard = self.repo(id)?;
+        let repo = lock(&shard);
+        Ok(image_of(&repo, self.seal_counter(&repo)?))
+    }
+
+    /// Applies an image pushed by a cluster primary (or pulled by
+    /// anti-entropy), returning the ETag of the signed index this node
+    /// now serves for the repository.
+    ///
+    /// The image is vetted before anything is touched: blob hashes and
+    /// the seal, which must authenticate under the shared platform
+    /// sealing key and bind exactly the counter the sender claims. A
+    /// forged push therefore costs no key generation, no TPM counter, no
+    /// WAL record — and cannot pump the counter to a forged value that
+    /// would make the node reject honest state as stale forever. Then,
+    /// under the shard lock, the rollback guard, `commit` and `install` —
+    /// the steps a local refresh and crash recovery take, so an
+    /// identical platform seed yields a byte-identical signed index.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Policy`] for unparsable policies,
+    /// [`CoreError::SealedState`] for blob-hash mismatches or seals that
+    /// do not unseal, [`CoreError::RollbackDetected`] when the pushed
+    /// seal counter is older than what this node already holds.
+    pub fn apply_replicated_state(&self, state: &ReplicatedState) -> Result<String, CoreError> {
+        let policy = Policy::parse(&state.policy_text)?;
+        for (hash, blob) in &state.blobs {
+            if hex::to_hex(&tsr_crypto::Sha256::digest(blob)) != *hash {
+                return Err(CoreError::SealedState(format!(
+                    "replicated blob {hash} hash mismatch"
+                )));
+            }
+        }
+        if !state.sealed.is_empty() {
+            let bound = SealedState::peek(&state.sealed, &self.enclave())?;
+            if bound != state.seal_counter {
+                return Err(CoreError::SealedState(format!(
+                    "replicated seal binds counter {bound}, sender claims {}",
+                    state.seal_counter
+                )));
+            }
+        }
+        let existing = self.repo(&state.id).ok();
+        let is_new = existing.is_none();
+        let shard =
+            existing.unwrap_or_else(|| Arc::new(Mutex::new(self.init_repo(&state.id, policy))));
+        let mut repo = live(&shard)?;
+        // Rollback guard: a replica never moves its counter backwards.
+        let current = self.seal_counter(&repo)?;
+        if state.seal_counter < current {
+            return Err(CoreError::RollbackDetected(format!(
+                "replicated seal counter {} behind local {current}",
+                state.seal_counter
+            )));
+        }
+        self.commit(state, is_new)?;
+        self.install(&mut repo, &state.sealed, state.seal_counter, &state.blobs)?;
+        if is_new {
+            self.repos
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(state.id.clone(), Arc::clone(&shard));
+        }
+        self.hot().publish(&state.id, repo.signed_index_etag());
+        self.metrics().cluster_replicated_applies.inc();
+        Ok(repo.signed_index_etag().unwrap_or_default().to_string())
+    }
+
+    /// Per-repository replication digest: `(id, signed-index ETag, seal
+    /// counter)` for every hosted tenant — what a cluster node
+    /// advertises during anti-entropy. Cheap relative to
+    /// [`Self::export_replicated_state`]: no index texts, no blobs.
+    pub fn replication_digest(&self) -> Vec<(String, String, u64)> {
+        let mut out = Vec::new();
+        for id in self.repository_ids() {
+            let Ok(shard) = self.repo(&id) else { continue };
+            let repo = lock(&shard);
+            let etag = repo.signed_index_etag().unwrap_or_default().to_string();
+            out.push((id, etag, self.seal_counter(&repo).unwrap_or(0)));
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::tests::{mirrors, policy_text, service, sim_backend};
+    use tsr_net::LatencyModel;
+    use tsr_simfs::SimFs;
+    use tsr_store::RecoveryReport;
+
+    /// A service sharing `service()`'s platform seed, over a store on `fs`.
+    fn stored_service(fs: &Arc<Mutex<SimFs>>) -> (TsrService, RecoveryReport) {
+        let model = LatencyModel::default();
+        TsrService::with_store(b"svc-test", mirrors(), model, 1024, sim_backend(fs)).unwrap()
+    }
+
+    /// The WAL on `fs`, decoded.
+    fn wal(fs: &Arc<Mutex<SimFs>>) -> Vec<WalRecord> {
+        let disk = fs.lock().unwrap();
+        let scan = tsr_store::decode_frames(disk.read_file("/store/wal.log").unwrap());
+        assert!(!scan.torn);
+        let decode = |p: &Vec<u8>| WalRecord::decode(p).unwrap();
+        scan.payloads.iter().map(decode).collect()
+    }
+
+    /// What a service serves for one repository and what its package
+    /// cache holds for it.
+    #[derive(Debug, PartialEq)]
+    struct Served {
+        index: Vec<u8>,
+        etag: String,
+        /// `(package, served bytes)` for every package of the index.
+        packages: Vec<(String, Vec<u8>)>,
+        /// `(package, cached original hash, cached sanitized hash)` for
+        /// every upstream entry, and the cache's entry counts.
+        cached: Vec<(String, Option<String>, Option<String>)>,
+        cache_entries: (usize, usize),
+    }
+
+    fn served(svc: &TsrService, id: &str) -> Served {
+        let digest = |b: Option<(&[u8], std::time::Duration)>| {
+            b.map(|(b, _)| hex::to_hex(&tsr_crypto::Sha256::digest(b)))
+        };
+        let names = |idx: Option<&Index>| -> Vec<String> {
+            idx.into_iter()
+                .flat_map(Index::iter)
+                .map(|e| e.name.clone())
+                .collect()
+        };
+        svc.with_repository(id, |repo| Served {
+            index: repo.serve_index().unwrap(),
+            etag: repo.signed_index_etag().unwrap().to_string(),
+            packages: names(repo.sanitized_index())
+                .into_iter()
+                .map(|n| (n.clone(), repo.serve_package(&n).unwrap().0))
+                .collect(),
+            cached: names(repo.upstream_index())
+                .into_iter()
+                .map(|n| {
+                    let original = digest(repo.cache().read_original(&n));
+                    let sanitized = digest(repo.cache().read_sanitized(&n));
+                    (n, original, sanitized)
+                })
+                .collect(),
+            cache_entries: repo.cache().stats(),
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn replicated_state_applies_byte_identically_on_a_peer() {
+        let primary = service();
+        let (id, _) = primary.create_repository(&policy_text()).unwrap();
+        primary.refresh(&id).unwrap();
+        let index = primary.fetch_index(&id).unwrap();
+        let pkg = primary.fetch_package(&id, "tool").unwrap();
+        let state = primary.export_replicated_state(&id).unwrap();
+        assert!(!state.sealed.is_empty());
+        assert!(state.seal_counter > 0);
+        assert!(!state.blobs.is_empty());
+
+        // The replica shares the platform seed (one logical fleet
+        // identity) and runs over a durable store of its own.
+        let fs = Arc::new(Mutex::new(tsr_simfs::SimFs::new()));
+        let (replica, _) = stored_service(&fs);
+        let etag = replica.apply_replicated_state(&state).unwrap();
+        assert_eq!(etag, state.index_etag);
+        assert_eq!(replica.fetch_index(&id).unwrap(), index, "byte-identical");
+        assert_eq!(replica.fetch_package(&id, "tool").unwrap(), pkg);
+        assert_eq!(
+            replica.hot().lookup(&id, |e| e.index_etag().to_string()),
+            Some(etag.clone())
+        );
+
+        // Re-applying the same state is idempotent…
+        assert_eq!(replica.apply_replicated_state(&state).unwrap(), etag);
+        // …and the replicated state survives a replica crash-restart.
+        drop(replica);
+        let (recovered, _) = stored_service(&fs);
+        assert_eq!(recovered.fetch_index(&id).unwrap(), index);
+        assert_eq!(recovered.fetch_package(&id, "tool").unwrap(), pkg);
+    }
+
+    #[test]
+    fn stale_or_tampered_replicated_state_is_rejected() {
+        let primary = service();
+        let (id, _) = primary.create_repository(&policy_text()).unwrap();
+        primary.refresh(&id).unwrap();
+        let old = primary.export_replicated_state(&id).unwrap();
+        primary.refresh(&id).unwrap();
+        let fresh = primary.export_replicated_state(&id).unwrap();
+        assert!(fresh.seal_counter > old.seal_counter);
+
+        let replica = service();
+        replica.apply_replicated_state(&fresh).unwrap();
+        // Replaying the older seal is a rollback.
+        assert!(matches!(
+            replica.apply_replicated_state(&old),
+            Err(CoreError::RollbackDetected(_))
+        ));
+        // A tampered blob payload never reaches the cache or the store.
+        let mut tampered = fresh.clone();
+        tampered.blobs[0].1 = Arc::from(b"evil".to_vec().into_boxed_slice());
+        let peer = service();
+        assert!(matches!(
+            peer.apply_replicated_state(&tampered),
+            Err(CoreError::SealedState(_))
+        ));
+    }
+
+    #[test]
+    fn forged_replicated_seal_leaves_no_side_effects() {
+        let primary = service();
+        let (id, _) = primary.create_repository(&policy_text()).unwrap();
+        primary.refresh(&id).unwrap();
+        let honest = primary.export_replicated_state(&id).unwrap();
+
+        let replica = service();
+        replica.apply_replicated_state(&honest).unwrap();
+        let index = replica.fetch_index(&id).unwrap();
+        let counter_before = replica
+            .replication_digest()
+            .into_iter()
+            .find(|(r, _, _)| r == &id)
+            .map(|(_, _, c)| c)
+            .unwrap();
+
+        // A Byzantine peer forges the sealed bytes AND inflates the
+        // counter, hoping the replica pumps its TPM chasing the claim.
+        let mut forged = honest.clone();
+        for b in &mut forged.sealed {
+            *b ^= 0x5a;
+        }
+        forged.seal_counter += 1_000;
+        assert!(matches!(
+            replica.apply_replicated_state(&forged),
+            Err(CoreError::SealedState(_))
+        ));
+
+        // The rejection is side-effect free: same counter (no TPM
+        // pump), same served index, and honest state still applies —
+        // nothing stale-looking, nothing poisoned on disk.
+        let counter_after = replica
+            .replication_digest()
+            .into_iter()
+            .find(|(r, _, _)| r == &id)
+            .map(|(_, _, c)| c)
+            .unwrap();
+        assert_eq!(counter_before, counter_after, "TPM counter was pumped");
+        assert_eq!(replica.fetch_index(&id).unwrap(), index);
+        let honest_mac_forged_counter = {
+            let mut s = honest.clone();
+            s.seal_counter += 1;
+            s
+        };
+        // A valid seal whose claimed counter disagrees with the bound
+        // one is equally rejected before any commit.
+        assert!(matches!(
+            replica.apply_replicated_state(&honest_mac_forged_counter),
+            Err(CoreError::SealedState(_))
+        ));
+        primary.refresh(&id).unwrap();
+        let next = primary.export_replicated_state(&id).unwrap();
+        replica.apply_replicated_state(&next).unwrap();
+        assert_eq!(
+            replica.fetch_index(&id).unwrap(),
+            primary.fetch_index(&id).unwrap()
+        );
+
+        // The same forgery for an id the node has never seen is vetted
+        // before anything is allocated: no shard, no WAL record, and no
+        // TPM counter (key generation runs with the counter's creation).
+        let (stranger, _) = stored_service(&Arc::new(Mutex::new(tsr_simfs::SimFs::new())));
+        assert!(matches!(
+            stranger.apply_replicated_state(&forged),
+            Err(CoreError::SealedState(_))
+        ));
+        assert!(stranger.repository_ids().is_empty());
+        assert_eq!(stranger.event_counter("wal_appends").get(), 0);
+        let next_counter = lock(&stranger.shared.tpm).create_counter();
+        assert_eq!(next_counter, 0, "the rejected push allocated a TPM counter");
+    }
+
+    #[test]
+    fn swapped_package_refs_cannot_poison_a_replica() {
+        let primary = service();
+        let (id, _) = primary.create_repository(&policy_text()).unwrap();
+        primary.refresh(&id).unwrap();
+        // Neither the seal nor the blob hashes cover `packages`: a sender
+        // (or anyone on the path) can swap the hashes of a triple.
+        let mut lying = primary.export_replicated_state(&id).unwrap();
+        let (_, original, sanitized) = &mut lying.packages[0];
+        assert_ne!(original, sanitized);
+        std::mem::swap(original, sanitized);
+
+        let replica = service();
+        let etag = replica.apply_replicated_state(&lying).unwrap();
+        assert_eq!(etag, lying.index_etag, "the ack votes the honest ETag");
+        // The cache was filled from the unsealed indexes, not the refs.
+        assert_eq!(served(&replica, &id), served(&primary, &id));
+    }
+
+    #[test]
+    fn recovery_and_replication_install_the_same_state() {
+        let fs = Arc::new(Mutex::new(SimFs::new()));
+        let (primary, _) = stored_service(&fs);
+        let (id, _) = primary.create_repository(&policy_text()).unwrap();
+        primary.refresh(&id).unwrap();
+        primary.refresh(&id).unwrap();
+        let image = primary.export_replicated_state(&id).unwrap();
+        let want = served(&primary, &id);
+        drop(primary);
+
+        // One `install`, one outcome: a crash-recovered service and a
+        // fresh replica that applied the export are indistinguishable.
+        let (recovered, _) = stored_service(&fs);
+        let replica = service();
+        replica.apply_replicated_state(&image).unwrap();
+        assert_eq!(served(&recovered, &id), want);
+        assert_eq!(served(&replica, &id), want);
+        assert_eq!(recovered.export_replicated_state(&id).unwrap(), image);
+        assert_eq!(replica.export_replicated_state(&id).unwrap(), image);
+    }
+
+    #[test]
+    fn commit_writes_the_same_wal_records_for_a_refresh_and_an_apply() {
+        let kinds = |fs| wal(fs).iter().map(TsrService::wal_kind).collect::<Vec<_>>();
+        let fs = Arc::new(Mutex::new(SimFs::new()));
+        let (primary, _) = stored_service(&fs);
+        let (id, _) = primary.create_repository(&policy_text()).unwrap();
+        primary.refresh(&id).unwrap();
+        assert_eq!(
+            kinds(&fs),
+            ["repo_created", "refresh_applied", "seal_updated"]
+        );
+        // The records carry the image, field for field.
+        let image = primary.export_replicated_state(&id).unwrap();
+        let log = wal(&fs);
+        assert_eq!(
+            log[1..],
+            [
+                WalRecord::RefreshApplied {
+                    id: id.clone(),
+                    upstream_index: image.upstream_index.clone(),
+                    sanitized_index: image.sanitized_index.clone(),
+                    packages: image.packages.clone(),
+                },
+                WalRecord::SealUpdated {
+                    id: id.clone(),
+                    sealed: image.sealed.clone(),
+                    counter: image.seal_counter,
+                },
+            ]
+        );
+
+        // A replica logs the creation once, then the same pair per apply.
+        let replica_fs = Arc::new(Mutex::new(SimFs::new()));
+        let (replica, _) = stored_service(&replica_fs);
+        replica.apply_replicated_state(&image).unwrap();
+        assert_eq!(wal(&replica_fs)[1..], log[1..]);
+        primary.refresh(&id).unwrap();
+        let next = primary.export_replicated_state(&id).unwrap();
+        replica.apply_replicated_state(&next).unwrap();
+        assert_eq!(kinds(&replica_fs), kinds(&fs));
+        assert_eq!(kinds(&fs).len(), 5);
+    }
+}

@@ -64,6 +64,9 @@ pub struct TsrRepository {
     rejected: Vec<(String, String)>,
     /// touches-accounts flag per sanitized package.
     touches_accounts: std::collections::BTreeMap<String, bool>,
+    /// Set by `TsrService::delete_repository` under the shard lock: a
+    /// writer still holding the shard must not publish it again.
+    pub(crate) deleted: bool,
 }
 
 impl TsrRepository {
@@ -103,6 +106,7 @@ impl TsrRepository {
             sealed_disk: None,
             rejected: Vec::new(),
             touches_accounts: Default::default(),
+            deleted: false,
         }
     }
 

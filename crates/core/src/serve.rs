@@ -9,7 +9,7 @@ use std::time::Duration;
 use tsr_http::middleware::{
     AccessLog, BodyLimit, CatchPanic, Chain, RateLimit, RequestId, Telemetry,
 };
-use tsr_http::{Request, Server, ServerConfig};
+use tsr_http::{Request, Response, Server, ServerConfig};
 
 use crate::service::TsrService;
 
@@ -24,21 +24,8 @@ impl TsrService {
         self.serve_with_options(addr, ApiOptions::default())
     }
 
-    /// Binds an HTTP server with explicit middleware/transport tunables.
-    ///
-    /// The middleware stack, outermost first: panic containment →
-    /// request-id injection → structured access log → telemetry
-    /// (latency histograms + in-flight gauges into
-    /// [`Self::obs_registry`]) → token-bucket rate limit → body-size
-    /// guard → router. Binding also registers scrape-time gauges over
-    /// the reactor's two-class job-queue depths (and their high-water
-    /// marks) in the registry.
-    ///
-    /// Two body limits apply at different layers: requests over
-    /// [`ApiOptions::max_body`] get the middleware's JSON 413 envelope;
-    /// the transport additionally refuses to *read* bodies over four
-    /// times that (memory protection — those get the transport's plain
-    /// 413 and a closed connection).
+    /// Binds an HTTP server with explicit middleware/transport tunables
+    /// ([`Self::mount`] with [`Self::handle`] as the terminal).
     ///
     /// # Errors
     ///
@@ -49,8 +36,36 @@ impl TsrService {
         options: ApiOptions,
     ) -> Result<Server, tsr_http::HttpError> {
         let service = self.clone();
-        let mut chain = Chain::new(move |req: &mut Request| service.handle(req))
-            .wrap(BodyLimit(options.max_body));
+        self.mount(addr, options, move |req| service.handle(req))
+    }
+
+    /// Binds an HTTP server running `terminal` behind the middleware
+    /// stack — the one place the stack is assembled; a cluster node
+    /// mounts its own router through it.
+    ///
+    /// The stack, outermost first: panic containment → request-id
+    /// injection → structured access log → telemetry (latency
+    /// histograms + in-flight gauges into [`Self::obs_registry`]) →
+    /// token-bucket rate limit → body-size guard → `terminal`. Binding
+    /// also registers scrape-time gauges over the reactor's two-class
+    /// job-queue depths (and their high-water marks) in the registry.
+    ///
+    /// Two body limits apply at different layers: requests over
+    /// [`ApiOptions::max_body`] get the middleware's JSON 413 envelope;
+    /// the transport additionally refuses to *read* bodies over four
+    /// times that (memory protection — those get the transport's plain
+    /// 413 and a closed connection).
+    ///
+    /// # Errors
+    ///
+    /// [`tsr_http::HttpError`] when the address cannot be bound.
+    pub fn mount(
+        &self,
+        addr: &str,
+        options: ApiOptions,
+        terminal: impl Fn(&mut Request) -> Response + Send + Sync + 'static,
+    ) -> Result<Server, tsr_http::HttpError> {
+        let mut chain = Chain::new(terminal).wrap(BodyLimit(options.max_body));
         if let Some((burst, per_sec)) = options.rate_limit {
             chain = chain.wrap(RateLimit::new(burst, per_sec));
         }
@@ -136,7 +151,7 @@ fn classify_request(req: &Request) -> tsr_http::JobClass {
     }
 }
 
-/// Tunables for [`TsrService::serve_with_options`].
+/// Tunables for [`TsrService::mount`].
 #[derive(Debug, Clone)]
 pub struct ApiOptions {
     /// Worker-pool size of the HTTP server.

@@ -1,5 +1,7 @@
 //! The multi-tenant TSR service (paper §5.2): tenant lifecycle (create,
-//! refresh, restart, recovery, delete) and the replication hooks.
+//! refresh, restart, recovery, delete), accessors and readiness. How a
+//! repository's state becomes durable, leaves for a peer and is installed
+//! is [`crate::replica`].
 //!
 //! A single TSR instance, executing inside one enclave, hosts many logically
 //! separated repositories — one per deployed policy. Clients interact over
@@ -17,7 +19,7 @@ use tsr_http::{Request, Response};
 use tsr_mirror::Mirror;
 use tsr_net::LatencyModel;
 use tsr_obs::{Counter, Journal, Registry, RequestScope};
-use tsr_sgx::Cpu;
+use tsr_sgx::{Cpu, Enclave};
 use tsr_store::{RecoveryReport, StoreBackend, StoreEngine, WalRecord};
 use tsr_tpm::Tpm;
 use tsr_wire::dto::ReadyDto;
@@ -27,6 +29,7 @@ use crate::error::CoreError;
 use crate::hot::HotCache;
 use crate::parallel::default_workers;
 use crate::policy::Policy;
+use crate::replica::image_of;
 use crate::repository::{RefreshReport, TsrRepository};
 
 /// The enclave code identity of this TSR build (what clients attest).
@@ -34,17 +37,35 @@ pub const ENCLAVE_CODE: &[u8] = b"tsr-enclave-v1";
 
 /// Locks a mutex, recovering the data from a poisoned lock (a panicking
 /// request handler must not take the whole multi-tenant service down).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Locks a repository shard for a writer. [`TsrService::delete_repository`]
+/// marks the shard under this lock, so a writer that cloned the shard
+/// `Arc` before the delete finds the mark here and backs out instead of
+/// publishing a deleted tenant back into the serve cache.
+///
+/// # Errors
+///
+/// [`CoreError::NotFound`] for a deleted shard.
+pub(crate) fn live(
+    shard: &Mutex<TsrRepository>,
+) -> Result<MutexGuard<'_, TsrRepository>, CoreError> {
+    let repo = lock(shard);
+    if repo.deleted {
+        return Err(CoreError::NotFound(format!("repository {}", repo.id)));
+    }
+    Ok(repo)
+}
+
 /// Maps a storage-engine failure onto the durable-state error class.
-fn store_err(e: tsr_store::StoreError) -> CoreError {
+pub(crate) fn store_err(e: tsr_store::StoreError) -> CoreError {
     CoreError::SealedState(format!("store: {e}"))
 }
 
-/// Maps a TPM failure during counter replay onto the same class.
-fn seal_err(e: impl std::fmt::Display) -> CoreError {
+/// Maps a TPM failure onto the same class.
+pub(crate) fn seal_err(e: impl std::fmt::Display) -> CoreError {
     CoreError::SealedState(e.to_string())
 }
 
@@ -52,9 +73,9 @@ fn seal_err(e: impl std::fmt::Display) -> CoreError {
 /// CPU (immutable after construction), the TPM (brief lock at seal time),
 /// the mirror fleet (read-mostly), and the service DRBG (locked only long
 /// enough to derive a per-operation child).
-struct SharedState {
+pub(crate) struct SharedState {
     cpu: Cpu,
-    tpm: Mutex<Tpm>,
+    pub(crate) tpm: Mutex<Tpm>,
     mirrors: RwLock<Vec<Mirror>>,
     model: RwLock<LatencyModel>,
     rng: Mutex<HmacDrbg>,
@@ -71,7 +92,7 @@ struct SharedState {
     /// A leaf lock in the hierarchy, like `tpm`: taken while holding a
     /// repository shard lock (`repository → store`) but never while the
     /// TPM lock is held, and no other lock is ever acquired under it.
-    store: Option<Mutex<StoreEngine>>,
+    pub(crate) store: Option<Mutex<StoreEngine>>,
     /// The typed metric registry behind the Prometheus exposition
     /// (`GET /v1/metrics?format=prometheus`). The HTTP middleware's
     /// latency histograms and in-flight gauges register here; cloning
@@ -91,34 +112,6 @@ struct SharedState {
     /// cluster's — the `cluster_epoch` readiness component. Maintained
     /// by the cluster layer.
     cluster_epoch_ok: AtomicBool,
-}
-
-/// The full replicable state of one repository — everything a peer node
-/// needs to host a byte-identical copy: the policy, the index texts, the
-/// package blob references (with bytes), and the TPM-bound seal. Produced
-/// by [`TsrService::export_replicated_state`], consumed by
-/// [`TsrService::apply_replicated_state`]; `tsr-cluster` maps it onto the
-/// `/v1/cluster/*` wire DTOs.
-#[derive(Debug, Clone)]
-pub struct ReplicatedState {
-    /// Repository id.
-    pub id: String,
-    /// The deployed policy document.
-    pub policy_text: String,
-    /// Upstream index text (empty before the first refresh).
-    pub upstream_index: String,
-    /// Sanitized index text (empty before the first refresh).
-    pub sanitized_index: String,
-    /// Per-package `(name, original hash, sanitized hash)` blob refs.
-    pub packages: Vec<(String, String, String)>,
-    /// The TPM-bound sealed metadata blob (empty before the first seal).
-    pub sealed: Vec<u8>,
-    /// The monotonic-counter value bound into `sealed`.
-    pub seal_counter: u64,
-    /// ETag of the signed sanitized index (the replication vote value).
-    pub index_etag: String,
-    /// Content-addressed blob payloads, `(hex hash, bytes)`.
-    pub blobs: Vec<(String, Arc<[u8]>)>,
 }
 
 /// The multi-tenant TSR service.
@@ -141,8 +134,8 @@ pub struct ReplicatedState {
 /// hierarchy deadlock-free.
 #[derive(Clone)]
 pub struct TsrService {
-    shared: Arc<SharedState>,
-    repos: Arc<RwLock<BTreeMap<String, Arc<Mutex<TsrRepository>>>>>,
+    pub(crate) shared: Arc<SharedState>,
+    pub(crate) repos: Arc<RwLock<BTreeMap<String, Arc<Mutex<TsrRepository>>>>>,
 }
 
 impl std::fmt::Debug for TsrService {
@@ -209,10 +202,9 @@ impl TsrService {
     /// Opens a service over a durable storage engine, running crash
     /// recovery: the engine replays its snapshot + write-ahead log, and
     /// every recovered repository is rebuilt — signing key re-derived
-    /// inside the enclave, TPM monotonic counter replayed up to the
-    /// durably recorded seal value, metadata indexes unsealed, and the
-    /// package cache repopulated from the content-addressed blob store
-    /// (hash-verified on load). The recovered signed index is
+    /// inside the enclave, then the durably recorded seal installed
+    /// (`install` in [`crate::replica`], with the blob store as the only
+    /// source of package bytes). The recovered signed index is
     /// byte-identical to what was served before the crash.
     ///
     /// An empty store yields a fresh service, so this is also the normal
@@ -242,61 +234,9 @@ impl TsrService {
         svc.shared
             .next_id
             .store(state.next_id.max(1), Ordering::Relaxed);
-        let enclave = svc.shared.cpu.load_enclave(ENCLAVE_CODE);
         for (id, durable) in &state.repos {
-            let policy = Policy::parse(&durable.policy_text)?;
-            let mut repo = {
-                let mut tpm = lock(&svc.shared.tpm);
-                TsrRepository::init(id.clone(), policy, &enclave, &mut tpm, key_bits)
-            };
-            if !durable.sealed.is_empty() {
-                repo.set_sealed_disk(durable.sealed.clone());
-                let tpm = {
-                    // Replay the monotonic counter to the sealed value: the
-                    // fresh TPM counter starts at 0 and the unseal check
-                    // requires hardware == sealed.
-                    let mut tpm = lock(&svc.shared.tpm);
-                    let cid = repo.counter_id();
-                    while tpm.read_counter(cid).map_err(seal_err)? < durable.seal_counter {
-                        tpm.increment_counter(cid).map_err(seal_err)?;
-                    }
-                    tpm
-                };
-                repo.restore(&enclave, &tpm)?;
-                drop(tpm);
-                // Repopulate the on-disk package cache from the blob
-                // store, keyed by the content hashes pinned in the
-                // *restored* indexes — so a WAL torn between the refresh
-                // and seal records still recovers the exact state the
-                // seal describes (older blobs are never deleted).
-                let wanted: Vec<(String, String, bool)> = repo
-                    .upstream_index()
-                    .into_iter()
-                    .flat_map(|idx| idx.iter())
-                    .map(|e| (e.name.clone(), e.content_hash.clone(), false))
-                    .chain(
-                        repo.sanitized_index()
-                            .into_iter()
-                            .flat_map(|idx| idx.iter())
-                            .map(|e| (e.name.clone(), e.content_hash.clone(), true)),
-                    )
-                    .collect();
-                let store = svc.shared.store.as_ref().expect("built with a store");
-                let mut eng = lock(store);
-                for (name, hash, is_sanitized) in wanted {
-                    // Policy-excluded upstream entries were never
-                    // downloaded, so their blobs are legitimately absent.
-                    if !eng.has_blob(&hash) {
-                        continue;
-                    }
-                    let blob = eng.get_blob(&hash).map_err(store_err)?;
-                    if is_sanitized {
-                        repo.cache_mut().store_sanitized(&name, blob);
-                    } else {
-                        repo.cache_mut().store_original(&name, blob);
-                    }
-                }
-            }
+            let mut repo = svc.init_repo(id, Policy::parse(&durable.policy_text)?);
+            svc.install(&mut repo, &durable.sealed, durable.seal_counter, &[])?;
             svc.shared.hot.publish(id, repo.signed_index_etag());
             svc.repos
                 .write()
@@ -447,7 +387,7 @@ impl TsrService {
     }
 
     /// The stable journal name of one WAL record kind.
-    fn wal_kind(record: &WalRecord) -> &'static str {
+    pub(crate) fn wal_kind(record: &WalRecord) -> &'static str {
         match record {
             WalRecord::RepoCreated { .. } => "repo_created",
             WalRecord::RepoDeleted { .. } => "repo_deleted",
@@ -460,7 +400,7 @@ impl TsrService {
     /// in-memory journal. The WAL bytes themselves never change — the
     /// attribution lives only here, where the chaos sim and operators
     /// read it.
-    fn journal_wal(&self, record: &WalRecord) {
+    pub(crate) fn journal_wal(&self, record: &WalRecord) {
         self.shared.obs_journal.record(
             "wal_append",
             &tsr_obs::current_request_id().unwrap_or_default(),
@@ -487,68 +427,26 @@ impl TsrService {
         Ok(())
     }
 
-    /// Makes a completed refresh durable: writes the new original and
-    /// sanitized blobs into the content-addressed store (deduplicated by
-    /// the hashes already pinned in the indexes — unchanged packages cost
-    /// nothing), then logs the refresh and the seal update. Runs under
-    /// the repository shard lock, before the new state is observable.
-    fn store_refresh(&self, repo: &TsrRepository, seal_counter: u64) -> Result<(), CoreError> {
-        let Some(store) = &self.shared.store else {
-            return Ok(());
-        };
-        let upstream = repo.upstream_index();
-        let sanitized = repo.sanitized_index();
-        let mut eng = lock(store);
-        let mut packages = Vec::new();
-        if let Some(up) = upstream {
-            for entry in up.iter() {
-                // Policy-excluded packages were never downloaded.
-                let Some((orig, _)) = repo.cache().read_original_shared(&entry.name) else {
-                    continue;
-                };
-                if !eng.has_blob(&entry.content_hash) {
-                    eng.put_blob_shared(&orig).map_err(store_err)?;
-                }
-                let shash = sanitized
-                    .and_then(|idx| idx.get(&entry.name))
-                    .map(|e| e.content_hash.clone())
-                    .unwrap_or_default();
-                if !shash.is_empty() && !eng.has_blob(&shash) {
-                    if let Some((san, _)) = repo.cache().read_sanitized_shared(&entry.name) {
-                        eng.put_blob_shared(&san).map_err(store_err)?;
-                    }
-                }
-                packages.push((entry.name.clone(), entry.content_hash.clone(), shash));
-            }
-        }
-        let refresh = WalRecord::RefreshApplied {
-            id: repo.id.clone(),
-            upstream_index: upstream.map(|i| i.to_text()).unwrap_or_default(),
-            sanitized_index: sanitized.map(|i| i.to_text()).unwrap_or_default(),
-            packages,
-        };
-        eng.append(&refresh).map_err(store_err)?;
-        let seal = WalRecord::SealUpdated {
-            id: repo.id.clone(),
-            sealed: repo.sealed_disk().map(<[u8]>::to_vec).unwrap_or_default(),
-            counter: seal_counter,
-        };
-        eng.append(&seal).map_err(store_err)?;
-        self.shared.metrics.count_store(&eng);
-        drop(eng);
-        self.journal_wal(&refresh);
-        self.journal_wal(&seal);
-        Ok(())
-    }
-
     /// Looks up one repository shard.
-    fn repo(&self, id: &str) -> Result<Arc<Mutex<TsrRepository>>, CoreError> {
+    pub(crate) fn repo(&self, id: &str) -> Result<Arc<Mutex<TsrRepository>>, CoreError> {
         self.repos
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(id)
             .cloned()
             .ok_or_else(|| CoreError::NotFound(format!("repository {id}")))
+    }
+
+    /// This build's enclave on the service CPU.
+    pub(crate) fn enclave(&self) -> Enclave<'_> {
+        self.shared.cpu.load_enclave(ENCLAVE_CODE)
+    }
+
+    /// A fresh shard for `id`: signing key derived inside the enclave, a
+    /// new TPM monotonic counter. Not yet in the repository map.
+    pub(crate) fn init_repo(&self, id: &str, policy: Policy) -> TsrRepository {
+        let mut tpm = lock(&self.shared.tpm);
+        TsrRepository::init(id, policy, &self.enclave(), &mut tpm, self.shared.key_bits)
     }
 
     /// Derives an independent child DRBG from the service RNG (the lock is
@@ -571,11 +469,7 @@ impl TsrService {
             "repo-{}",
             self.shared.next_id.fetch_add(1, Ordering::Relaxed)
         );
-        let enclave = self.shared.cpu.load_enclave(ENCLAVE_CODE);
-        let repo = {
-            let mut tpm = lock(&self.shared.tpm);
-            TsrRepository::init(id.clone(), policy, &enclave, &mut tpm, self.shared.key_bits)
-        };
+        let repo = self.init_repo(&id, policy);
         let pem = repo.public_key().to_pem();
         // Durable before observable: the creation is logged before the
         // shard is published to the repository map.
@@ -605,7 +499,6 @@ impl TsrService {
         let shard = self.repo(id)?;
         let mut rng = self.child_rng(id);
         let workers = self.workers();
-        let enclave = self.shared.cpu.load_enclave(ENCLAVE_CODE);
         let mirrors = self
             .shared
             .mirrors
@@ -613,19 +506,19 @@ impl TsrService {
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
         let model = self.model();
-        let mut repo = lock(&shard);
+        let mut repo = live(&shard)?;
         let report = repo.refresh_unsealed(&mirrors, &model, &mut rng, workers)?;
-        let mut tpm = lock(&self.shared.tpm);
-        repo.persist(&enclave, &mut tpm)?;
-        let seal_counter = if self.shared.store.is_some() {
+        let seal_counter = {
+            // One hold of the TPM lock: another tenant's key generation
+            // can keep it for a long time.
+            let mut tpm = lock(&self.shared.tpm);
+            repo.persist(&self.enclave(), &mut tpm)?;
             tpm.read_counter(repo.counter_id()).map_err(seal_err)?
-        } else {
-            0
         };
-        drop(tpm);
-        // Lock order `repository → store` (the TPM lock is already
-        // released; the two leaf locks are never held together).
-        self.store_refresh(&repo, seal_counter)?;
+        // Durable before observable. Lock order `repository → store`
+        // (the TPM lock is already released; the two leaf locks are
+        // never held together).
+        self.commit(&image_of(&repo, seal_counter), false)?;
         self.shared.hot.publish(id, repo.signed_index_etag());
         Ok(report)
     }
@@ -642,7 +535,7 @@ impl TsrService {
     /// that was never refreshed has no sealed state and reports
     /// [`CoreError::SealedState`]; others must restore cleanly.
     pub fn crash_restart(&self) -> Vec<(String, Result<(), CoreError>)> {
-        let enclave = self.shared.cpu.load_enclave(ENCLAVE_CODE);
+        let enclave = self.enclave();
         let shards: Vec<(String, Arc<Mutex<TsrRepository>>)> = self
             .repos
             .read()
@@ -652,15 +545,16 @@ impl TsrService {
             .collect();
         shards
             .into_iter()
-            .map(|(id, shard)| {
-                let mut repo = lock(&shard);
+            .filter_map(|(id, shard)| {
+                // A tenant deleted since the listing has nothing to restart.
+                let mut repo = live(&shard).ok()?;
                 repo.crash();
                 // Lock order `repository → tpm` (see the struct docs).
                 let tpm = lock(&self.shared.tpm);
                 let outcome = repo.restore(&enclave, &tpm);
                 drop(tpm);
                 self.shared.hot.publish(&id, repo.signed_index_etag());
-                (id, outcome)
+                Some((id, outcome))
             })
             .collect()
     }
@@ -670,258 +564,6 @@ impl TsrService {
     /// at the next blob store; it does not synchronously shrink the cache.
     pub fn set_hot_blob_budget(&self, bytes: usize) {
         self.shared.hot.set_budget(bytes);
-    }
-
-    /// Exports the full replicable state of one repository: policy,
-    /// index texts, per-package blob references with the blob bytes, the
-    /// TPM-bound sealed metadata, and its counter value. This is what a
-    /// cluster primary pushes to replicas after a refresh (and what
-    /// anti-entropy serves); [`Self::apply_replicated_state`] is the
-    /// inverse.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::NotFound`] for unknown ids; [`CoreError::SealedState`]
-    /// when the TPM counter cannot be read.
-    pub fn export_replicated_state(&self, id: &str) -> Result<ReplicatedState, CoreError> {
-        let shard = self.repo(id)?;
-        let repo = lock(&shard);
-        let upstream = repo.upstream_index();
-        let sanitized = repo.sanitized_index();
-        let mut packages = Vec::new();
-        let mut blobs: Vec<(String, Arc<[u8]>)> = Vec::new();
-        let mut have = std::collections::BTreeSet::new();
-        if let Some(up) = upstream {
-            for entry in up.iter() {
-                // Policy-excluded packages were never downloaded.
-                let Some((orig, _)) = repo.cache().read_original_shared(&entry.name) else {
-                    continue;
-                };
-                if have.insert(entry.content_hash.clone()) {
-                    blobs.push((entry.content_hash.clone(), orig));
-                }
-                let shash = sanitized
-                    .and_then(|idx| idx.get(&entry.name))
-                    .map(|e| e.content_hash.clone())
-                    .unwrap_or_default();
-                if !shash.is_empty() && have.insert(shash.clone()) {
-                    if let Some((san, _)) = repo.cache().read_sanitized_shared(&entry.name) {
-                        blobs.push((shash.clone(), san));
-                    }
-                }
-                packages.push((entry.name.clone(), entry.content_hash.clone(), shash));
-            }
-        }
-        let sealed = repo.sealed_disk().map(<[u8]>::to_vec).unwrap_or_default();
-        let seal_counter = if sealed.is_empty() {
-            0
-        } else {
-            // Lock order `repository → tpm`.
-            lock(&self.shared.tpm)
-                .read_counter(repo.counter_id())
-                .map_err(seal_err)?
-        };
-        Ok(ReplicatedState {
-            id: id.to_string(),
-            policy_text: repo.policy().to_text(),
-            upstream_index: upstream.map(tsr_apk::Index::to_text).unwrap_or_default(),
-            sanitized_index: sanitized.map(tsr_apk::Index::to_text).unwrap_or_default(),
-            packages,
-            sealed,
-            seal_counter,
-            index_etag: repo.signed_index_etag().unwrap_or_default().to_string(),
-            blobs,
-        })
-    }
-
-    /// Applies a replicated repository state pushed by a cluster primary
-    /// (or pulled by anti-entropy), returning the ETag of the signed
-    /// index this node now serves for the repository.
-    ///
-    /// The state is applied through the same machinery as crash
-    /// recovery: blob hashes are verified, the WAL records the refresh
-    /// *before* it becomes observable, the sealed blob is installed, the
-    /// local TPM monotonic counter is replayed up to the seal value, and
-    /// the metadata is unsealed and re-signed with the deterministically
-    /// derived repository key — so an identical platform seed yields a
-    /// byte-identical signed index, and a forged or tampered seal fails
-    /// to decrypt.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Policy`] for unparsable policies,
-    /// [`CoreError::SealedState`] for blob-hash mismatches or seals that
-    /// do not unseal, [`CoreError::RollbackDetected`] when the pushed
-    /// seal counter is older than what this node already holds.
-    pub fn apply_replicated_state(&self, state: &ReplicatedState) -> Result<String, CoreError> {
-        let policy = Policy::parse(&state.policy_text)?;
-        for (hash, blob) in &state.blobs {
-            let actual = hex::to_hex(&tsr_crypto::Sha256::digest(blob));
-            if actual != *hash {
-                return Err(CoreError::SealedState(format!(
-                    "replicated blob {hash} hash mismatch"
-                )));
-            }
-        }
-        let existing = self
-            .repos
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&state.id)
-            .cloned();
-        let enclave = self.shared.cpu.load_enclave(ENCLAVE_CODE);
-        let is_new = existing.is_none();
-        let shard = match existing {
-            Some(shard) => shard,
-            None => {
-                let repo = {
-                    let mut tpm = lock(&self.shared.tpm);
-                    TsrRepository::init(
-                        state.id.clone(),
-                        policy,
-                        &enclave,
-                        &mut tpm,
-                        self.shared.key_bits,
-                    )
-                };
-                Arc::new(Mutex::new(repo))
-            }
-        };
-        let mut repo = lock(&shard);
-        {
-            // Rollback guard: a replica never moves its counter backwards.
-            let tpm = lock(&self.shared.tpm);
-            let current = tpm.read_counter(repo.counter_id()).map_err(seal_err)?;
-            if state.seal_counter < current {
-                return Err(CoreError::RollbackDetected(format!(
-                    "replicated seal counter {} behind local {current}",
-                    state.seal_counter
-                )));
-            }
-        }
-        // Vet the pushed seal before committing anything: it must
-        // authenticate under the shared platform sealing key and bind
-        // exactly the counter the sender claims. Without this, a forged
-        // seal would be WAL-logged and the TPM counter pumped to the
-        // forged value before `restore` failed — leaving the node
-        // serving poison to its peers and rejecting honest state as
-        // stale forever.
-        if !state.sealed.is_empty() {
-            let bound = crate::cache::SealedState::peek(&state.sealed, &enclave)?;
-            if bound != state.seal_counter {
-                return Err(CoreError::SealedState(format!(
-                    "replicated seal binds counter {bound}, sender claims {}",
-                    state.seal_counter
-                )));
-            }
-        }
-        // Durable before observable, exactly like a local refresh.
-        self.store_replicated(state, is_new)?;
-        if !state.sealed.is_empty() {
-            repo.set_sealed_disk(state.sealed.clone());
-            let tpm = {
-                let mut tpm = lock(&self.shared.tpm);
-                let cid = repo.counter_id();
-                while tpm.read_counter(cid).map_err(seal_err)? < state.seal_counter {
-                    tpm.increment_counter(cid).map_err(seal_err)?;
-                }
-                tpm
-            };
-            repo.restore(&enclave, &tpm)?;
-            drop(tpm);
-            let pushed: BTreeMap<&str, &Arc<[u8]>> =
-                state.blobs.iter().map(|(h, b)| (h.as_str(), b)).collect();
-            for (name, ohash, shash) in &state.packages {
-                if let Some(blob) = self.replicated_blob(&pushed, ohash)? {
-                    repo.cache_mut().store_original(name, blob);
-                }
-                if !shash.is_empty() {
-                    if let Some(blob) = self.replicated_blob(&pushed, shash)? {
-                        repo.cache_mut().store_sanitized(name, blob);
-                    }
-                }
-            }
-        }
-        let etag = repo.signed_index_etag().unwrap_or_default().to_string();
-        if is_new {
-            self.repos
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(state.id.clone(), Arc::clone(&shard));
-        }
-        self.shared.hot.publish(&state.id, repo.signed_index_etag());
-        self.shared.metrics.cluster_replicated_applies.inc();
-        Ok(etag)
-    }
-
-    /// Resolves one content-addressed blob during a replicated apply:
-    /// pushed bytes win, the local blob store covers hashes the sender
-    /// skipped, and a miss in both is fine (the package re-downloads on
-    /// the next refresh).
-    fn replicated_blob(
-        &self,
-        pushed: &BTreeMap<&str, &Arc<[u8]>>,
-        hash: &str,
-    ) -> Result<Option<Arc<[u8]>>, CoreError> {
-        if let Some(blob) = pushed.get(hash) {
-            return Ok(Some(Arc::clone(blob)));
-        }
-        let Some(store) = &self.shared.store else {
-            return Ok(None);
-        };
-        let mut eng = lock(store);
-        if !eng.has_blob(hash) {
-            return Ok(None);
-        }
-        eng.get_blob(hash).map(Some).map_err(store_err)
-    }
-
-    /// Makes a replicated apply durable: logs creation (for new
-    /// repositories), writes the pushed blobs into the content-addressed
-    /// store, and logs the refresh + seal — the same records a local
-    /// refresh appends.
-    fn store_replicated(&self, state: &ReplicatedState, is_new: bool) -> Result<(), CoreError> {
-        let Some(store) = &self.shared.store else {
-            return Ok(());
-        };
-        let mut eng = lock(store);
-        let mut journaled: Vec<WalRecord> = Vec::new();
-        if is_new {
-            let created = WalRecord::RepoCreated {
-                id: state.id.clone(),
-                policy_text: state.policy_text.clone(),
-            };
-            eng.append(&created).map_err(store_err)?;
-            journaled.push(created);
-        }
-        for (hash, blob) in &state.blobs {
-            if !eng.has_blob(hash) {
-                eng.put_blob_shared(blob).map_err(store_err)?;
-            }
-        }
-        if !state.sealed.is_empty() {
-            let refresh = WalRecord::RefreshApplied {
-                id: state.id.clone(),
-                upstream_index: state.upstream_index.clone(),
-                sanitized_index: state.sanitized_index.clone(),
-                packages: state.packages.clone(),
-            };
-            eng.append(&refresh).map_err(store_err)?;
-            journaled.push(refresh);
-            let seal = WalRecord::SealUpdated {
-                id: state.id.clone(),
-                sealed: state.sealed.clone(),
-                counter: state.seal_counter,
-            };
-            eng.append(&seal).map_err(store_err)?;
-            journaled.push(seal);
-        }
-        self.shared.metrics.count_store(&eng);
-        drop(eng);
-        for record in &journaled {
-            self.journal_wal(record);
-        }
-        Ok(())
     }
 
     /// Fetches the signed sanitized index of a repository.
@@ -969,8 +611,7 @@ impl TsrService {
     /// Produces an attestation report carrying `nonce` (SGX remote
     /// attestation, Figure 7 step ➊).
     pub fn attestation_report(&self, nonce: &[u8]) -> (String, String, String) {
-        let enclave = self.shared.cpu.load_enclave(ENCLAVE_CODE);
-        let report = enclave.report(nonce);
+        let report = self.enclave().report(nonce);
         (
             hex::to_hex(&report.mrenclave.0),
             hex::to_hex(&report.report_data),
@@ -988,25 +629,6 @@ impl TsrService {
             .collect()
     }
 
-    /// Per-repository replication digest: `(id, signed-index ETag, seal
-    /// counter)` for every hosted tenant — what a cluster node
-    /// advertises during anti-entropy. Cheap relative to
-    /// [`Self::export_replicated_state`]: no index texts, no blobs.
-    pub fn replication_digest(&self) -> Vec<(String, String, u64)> {
-        let mut out = Vec::new();
-        for id in self.repository_ids() {
-            let Ok(shard) = self.repo(&id) else { continue };
-            let repo = lock(&shard);
-            let etag = repo.signed_index_etag().unwrap_or_default().to_string();
-            // Lock order `repository → tpm`.
-            let counter = lock(&self.shared.tpm)
-                .read_counter(repo.counter_id())
-                .unwrap_or(0);
-            out.push((id, etag, counter));
-        }
-        out
-    }
-
     /// Deletes a repository, dropping its shard (the TPM counter is
     /// retired with it; a new repository under the same policy gets a
     /// fresh id and key).
@@ -1015,16 +637,18 @@ impl TsrService {
     ///
     /// [`CoreError::NotFound`] for unknown ids.
     pub fn delete_repository(&self, id: &str) -> Result<(), CoreError> {
-        let mut repos = self.repos.write().unwrap_or_else(PoisonError::into_inner);
-        if !repos.contains_key(id) {
-            return Err(CoreError::NotFound(format!("repository {id}")));
-        }
-        // Durable before observable, under the map's write lock so a
-        // racing create/delete cannot interleave between log and map.
+        let shard = self.repo(id)?;
+        // Under the shard lock, so the delete orders after any writer in
+        // flight and a racing second delete finds the mark (see `live`).
+        let mut repo = live(&shard)?;
+        // Durable before observable.
         self.store_append(&WalRecord::RepoDeleted { id: id.to_string() })?;
-        repos.remove(id);
-        drop(repos);
+        repo.deleted = true;
         self.shared.hot.publish(id, None);
+        self.repos
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(id);
         Ok(())
     }
 
@@ -1040,7 +664,7 @@ impl TsrService {
         f: impl FnOnce(&mut TsrRepository) -> R,
     ) -> Result<R, CoreError> {
         let shard = self.repo(id)?;
-        let mut repo = lock(&shard);
+        let mut repo = live(&shard)?;
         let r = f(&mut repo);
         // `f` may have changed the index or the package cache (fault
         // injection); republish before the shard lock is released.
@@ -1100,7 +724,7 @@ pub(crate) mod tests {
         )
     }
 
-    fn mirrors() -> Vec<Mirror> {
+    pub(crate) fn mirrors() -> Vec<Mirror> {
         let mut index = Index::new();
         index.snapshot = 1;
         let mut packages = Map::new();
@@ -1125,7 +749,7 @@ pub(crate) mod tests {
         TsrService::new(b"svc-test", mirrors(), LatencyModel::default(), 1024)
     }
 
-    fn sim_backend(fs: &Arc<Mutex<tsr_simfs::SimFs>>) -> Box<dyn StoreBackend> {
+    pub(crate) fn sim_backend(fs: &Arc<Mutex<tsr_simfs::SimFs>>) -> Box<dyn StoreBackend> {
         Box::new(tsr_simfs::SimFsBackend::new(Arc::clone(fs), "/store"))
     }
 
@@ -1228,141 +852,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn replicated_state_applies_byte_identically_on_a_peer() {
-        let primary = service();
-        let (id, _) = primary.create_repository(&policy_text()).unwrap();
-        primary.refresh(&id).unwrap();
-        let index = primary.fetch_index(&id).unwrap();
-        let pkg = primary.fetch_package(&id, "tool").unwrap();
-        let state = primary.export_replicated_state(&id).unwrap();
-        assert!(!state.sealed.is_empty());
-        assert!(state.seal_counter > 0);
-        assert!(!state.blobs.is_empty());
-
-        // The replica shares the platform seed (one logical fleet
-        // identity) and runs over a durable store of its own.
-        let fs = Arc::new(Mutex::new(tsr_simfs::SimFs::new()));
-        let (replica, _) = TsrService::with_store(
-            b"svc-test",
-            mirrors(),
-            LatencyModel::default(),
-            1024,
-            sim_backend(&fs),
-        )
-        .unwrap();
-        let etag = replica.apply_replicated_state(&state).unwrap();
-        assert_eq!(etag, state.index_etag);
-        assert_eq!(replica.fetch_index(&id).unwrap(), index, "byte-identical");
-        assert_eq!(replica.fetch_package(&id, "tool").unwrap(), pkg);
-        assert_eq!(
-            replica.hot().lookup(&id, |e| e.index_etag().to_string()),
-            Some(etag.clone())
-        );
-
-        // Re-applying the same state is idempotent…
-        assert_eq!(replica.apply_replicated_state(&state).unwrap(), etag);
-        // …and the replicated state survives a replica crash-restart.
-        drop(replica);
-        let (recovered, _) = TsrService::with_store(
-            b"svc-test",
-            mirrors(),
-            LatencyModel::default(),
-            1024,
-            sim_backend(&fs),
-        )
-        .unwrap();
-        assert_eq!(recovered.fetch_index(&id).unwrap(), index);
-        assert_eq!(recovered.fetch_package(&id, "tool").unwrap(), pkg);
-    }
-
-    #[test]
-    fn stale_or_tampered_replicated_state_is_rejected() {
-        let primary = service();
-        let (id, _) = primary.create_repository(&policy_text()).unwrap();
-        primary.refresh(&id).unwrap();
-        let old = primary.export_replicated_state(&id).unwrap();
-        primary.refresh(&id).unwrap();
-        let fresh = primary.export_replicated_state(&id).unwrap();
-        assert!(fresh.seal_counter > old.seal_counter);
-
-        let replica = service();
-        replica.apply_replicated_state(&fresh).unwrap();
-        // Replaying the older seal is a rollback.
-        assert!(matches!(
-            replica.apply_replicated_state(&old),
-            Err(CoreError::RollbackDetected(_))
-        ));
-        // A tampered blob payload never reaches the cache or the store.
-        let mut tampered = fresh.clone();
-        tampered.blobs[0].1 = Arc::from(b"evil".to_vec().into_boxed_slice());
-        let peer = service();
-        assert!(matches!(
-            peer.apply_replicated_state(&tampered),
-            Err(CoreError::SealedState(_))
-        ));
-    }
-
-    #[test]
-    fn forged_replicated_seal_leaves_no_side_effects() {
-        let primary = service();
-        let (id, _) = primary.create_repository(&policy_text()).unwrap();
-        primary.refresh(&id).unwrap();
-        let honest = primary.export_replicated_state(&id).unwrap();
-
-        let replica = service();
-        replica.apply_replicated_state(&honest).unwrap();
-        let index = replica.fetch_index(&id).unwrap();
-        let counter_before = replica
-            .replication_digest()
-            .into_iter()
-            .find(|(r, _, _)| r == &id)
-            .map(|(_, _, c)| c)
-            .unwrap();
-
-        // A Byzantine peer forges the sealed bytes AND inflates the
-        // counter, hoping the replica pumps its TPM chasing the claim.
-        let mut forged = honest.clone();
-        for b in &mut forged.sealed {
-            *b ^= 0x5a;
-        }
-        forged.seal_counter += 1_000;
-        assert!(matches!(
-            replica.apply_replicated_state(&forged),
-            Err(CoreError::SealedState(_))
-        ));
-
-        // The rejection is side-effect free: same counter (no TPM
-        // pump), same served index, and honest state still applies —
-        // nothing stale-looking, nothing poisoned on disk.
-        let counter_after = replica
-            .replication_digest()
-            .into_iter()
-            .find(|(r, _, _)| r == &id)
-            .map(|(_, _, c)| c)
-            .unwrap();
-        assert_eq!(counter_before, counter_after, "TPM counter was pumped");
-        assert_eq!(replica.fetch_index(&id).unwrap(), index);
-        let honest_mac_forged_counter = {
-            let mut s = honest.clone();
-            s.seal_counter += 1;
-            s
-        };
-        // A valid seal whose claimed counter disagrees with the bound
-        // one is equally rejected before any commit.
-        assert!(matches!(
-            replica.apply_replicated_state(&honest_mac_forged_counter),
-            Err(CoreError::SealedState(_))
-        ));
-        primary.refresh(&id).unwrap();
-        let next = primary.export_replicated_state(&id).unwrap();
-        replica.apply_replicated_state(&next).unwrap();
-        assert_eq!(
-            replica.fetch_index(&id).unwrap(),
-            primary.fetch_index(&id).unwrap()
-        );
-    }
-
-    #[test]
     fn tenants_are_isolated() {
         let svc = service();
         let (id1, pem1) = svc.create_repository(&policy_text()).unwrap();
@@ -1410,6 +899,29 @@ pub(crate) mod tests {
         assert_eq!(svc.fetch_index(&id1).unwrap(), before1);
         assert_eq!(svc.fetch_index(&id2).unwrap(), before2);
         svc.fetch_package(&id1, "tool").unwrap();
+    }
+
+    #[test]
+    fn a_writer_in_flight_cannot_resurrect_a_deleted_tenant() {
+        let svc = service();
+        let (id, _) = svc.create_repository(&policy_text()).unwrap();
+        svc.refresh(&id).unwrap();
+        let parked = std::thread::scope(|s| {
+            // `refresh` snapshots the mirror fleet after it looked the
+            // shard up and before it locks it: holding the fleet parks
+            // it exactly there while the tenant is deleted.
+            let refresh = svc.with_mirrors(|_| {
+                let refresh = s.spawn(|| svc.refresh(&id));
+                std::thread::sleep(std::time::Duration::from_millis(200));
+                svc.delete_repository(&id).unwrap();
+                refresh
+            });
+            refresh.join().unwrap()
+        });
+        assert!(matches!(parked, Err(CoreError::NotFound(_))), "{parked:?}");
+        assert!(svc.hot().lookup(&id, |_| ()).is_none(), "entry leaked");
+        let poll = api_request("GET", &format!("/v1/repositories/{id}/index"), &[]);
+        assert_eq!(svc.handle(&poll).status, 404, "a deleted tenant is gone");
     }
 
     #[test]

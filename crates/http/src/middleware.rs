@@ -379,18 +379,26 @@ impl Middleware for BodyLimit {
 }
 
 /// Converts handler panics into clean 500 responses (the connection and
-/// worker survive).
+/// worker survive). The 500 echoes the `x-request-id` an inner
+/// [`RequestId`] layer put on the request before the panic unwound
+/// through it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CatchPanic;
 
 impl Middleware for CatchPanic {
     fn handle(&self, req: &mut Request, next: &dyn Fn(&mut Request) -> Response) -> Response {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| next(req))) {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| next(&mut *req))) {
             Ok(resp) => resp,
-            Err(_) => Response::json(
-                500,
-                r#"{"code":"internal","message":"internal server error","detail":"handler panicked"}"#.to_string(),
-            ),
+            Err(_) => {
+                let resp = Response::json(
+                    500,
+                    r#"{"code":"internal","message":"internal server error","detail":"handler panicked"}"#.to_string(),
+                );
+                match req.headers.get("x-request-id") {
+                    Some(id) => resp.with_header("x-request-id", id),
+                    None => resp,
+                }
+            }
         }
     }
 }

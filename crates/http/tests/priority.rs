@@ -97,10 +97,13 @@ fn serve_jobs_overtake_a_queued_bulk_job() {
     // Queue one bulk job FIRST, then three serve jobs behind it.
     let bulk = get_async(addr.clone(), "/bulk".into());
     wait_for("bulk job queued", || server.queue_depths().1 == 1);
-    let serves: Vec<_> = (0..3)
-        .map(|i| get_async(addr.clone(), format!("/serve/{i}")))
-        .collect();
-    wait_for("serve jobs queued", || server.queue_depths().0 == 3);
+    // One at a time: concurrent connects would arrive in any order, and
+    // the assertion below pins the exact one.
+    let mut serves = Vec::new();
+    for i in 0..3 {
+        serves.push(get_async(addr.clone(), format!("/serve/{i}")));
+        wait_for("serve job queued", || server.queue_depths().0 == i + 1);
+    }
 
     // Open the gate: the worker must now run serve/0..2 before /bulk.
     gate_open.store(true, Ordering::SeqCst);

@@ -14,7 +14,7 @@ use tsr_http::router::percent_encode;
 use tsr_http::{Client, HttpError, Response};
 use tsr_sgx::{Measurement, Report};
 
-use crate::cluster::{ClusterConfigDto, ClusterDigestDto, ReplicateAckDto, RepoSealDto};
+use crate::cluster::{ClusterConfigDto, ClusterDigestDto, ReplicateAckDto, ReplicatedState};
 use crate::dto::{
     AttestationDto, CreateRepositoryRequest, ErrorEnvelope, HealthDto, MetricsDto, PackagePage,
     RefreshReportDto, RepositoryCreated, RepositoryInfo, RepositoryList, WireDto,
@@ -381,7 +381,7 @@ impl TsrClient {
     /// # Errors
     ///
     /// `not_found` for unknown ids.
-    pub fn cluster_seal(&self, id: &str) -> Result<RepoSealDto, WireError> {
+    pub fn cluster_seal(&self, id: &str) -> Result<ReplicatedState, WireError> {
         self.get_dto(&format!("/v1/cluster/seal/{}", percent_encode(id)))
     }
 

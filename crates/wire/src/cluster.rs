@@ -5,8 +5,11 @@
 //! field names are the wire contract, and round-trip/garbage-rejection
 //! proptests live in `crates/wire/tests/cluster_proptests.rs`. Binary
 //! payloads (sealed metadata, package blobs) travel hex-encoded — the
-//! codec is strict UTF-8 JSON, and seals/blobs are small relative to the
-//! indexes they accompany.
+//! codec is strict UTF-8 JSON.
+
+use std::sync::Arc;
+
+use tsr_crypto::hex;
 
 use crate::dto::{opt_str, req, req_arr, req_bool, req_str, req_u64, req_usize, WireDto};
 use crate::json::Json;
@@ -76,126 +79,96 @@ impl WireDto for ClusterConfigDto {
     }
 }
 
-/// One content-addressed blob shipped alongside a replicated seal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlobDto {
-    /// Hex SHA-256 of the decoded bytes (the content address).
-    pub hash: String,
-    /// The blob bytes, hex-encoded.
-    pub bytes_hex: String,
-}
-
-impl WireDto for BlobDto {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("hash", Json::str(&self.hash)),
-            ("bytes_hex", Json::str(&self.bytes_hex)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(BlobDto {
-            hash: req_str(v, "hash")?,
-            bytes_hex: req_str(v, "bytes_hex")?,
-        })
-    }
-}
-
-/// One package's blob references inside a replicated repository state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackageRefDto {
-    /// Package name.
-    pub name: String,
-    /// Hex SHA-256 of the original (upstream) blob.
-    pub original_hash: String,
-    /// Hex SHA-256 of the sanitized blob (empty if not sanitized).
-    pub sanitized_hash: String,
-}
-
-impl WireDto for PackageRefDto {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::str(&self.name)),
-            ("original_hash", Json::str(&self.original_hash)),
-            ("sanitized_hash", Json::str(&self.sanitized_hash)),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(PackageRefDto {
-            name: req_str(v, "name")?,
-            original_hash: req_str(v, "original_hash")?,
-            sanitized_hash: req_str(v, "sanitized_hash")?,
-        })
-    }
-}
-
-/// The full replicable state of one tenant repository: everything a
-/// replica needs to replay the refresh through its own recovery path.
+/// The image of one tenant repository: everything a peer needs to host
+/// a byte-identical copy. It is what `TsrService::export_replicated_state`
+/// returns and `apply_replicated_state` takes, the body of
+/// `POST /v1/cluster/replicate` and the response of
+/// `GET /v1/cluster/seal/{id}` (anti-entropy pull).
 ///
-/// Carried as the body of `POST /v1/cluster/replicate` and as the
-/// response of `GET /v1/cluster/seal/{id}` (anti-entropy pull). The
-/// `sealed_hex` blob is TPM-bound; a replica applies it exactly like
-/// crash recovery does — derive keys, replay the counter, unseal — so a
-/// forged seal cannot decrypt and a stale one trips the rollback check.
+/// Payloads are binary here; hex exists only in the JSON (`sealed_hex`,
+/// `blobs[].bytes_hex`). The seal is TPM-bound: a replica installs it the
+/// way crash recovery does — derive keys, replay the counter, unseal — so
+/// a forged seal cannot decrypt and a stale one trips the rollback check.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RepoSealDto {
+pub struct ReplicatedState {
     /// Repository id.
     pub id: String,
     /// The deployed policy document.
     pub policy_text: String,
-    /// Upstream index text of the replicated refresh.
+    /// Upstream index text (empty before the first refresh).
     pub upstream_index: String,
-    /// Sanitized index text of the replicated refresh.
+    /// Sanitized index text (empty before the first refresh).
     pub sanitized_index: String,
-    /// Per-package blob references.
-    pub packages: Vec<PackageRefDto>,
-    /// The TPM-bound sealed metadata blob, hex-encoded.
-    pub sealed_hex: String,
-    /// The monotonic-counter value bound into the seal.
+    /// Per-package `(name, original hash, sanitized hash)` blob refs (the
+    /// sanitized hash is empty for a package the sanitizer rejected).
+    pub packages: Vec<(String, String, String)>,
+    /// The TPM-bound sealed metadata blob (empty before the first seal).
+    pub sealed: Vec<u8>,
+    /// The monotonic-counter value bound into `sealed`.
     pub seal_counter: u64,
     /// ETag of the signed sanitized index (the replication vote value).
     pub index_etag: String,
-    /// Blobs the receiver may be missing (content-addressed, deduped —
-    /// senders skip hashes the receiver already acknowledged holding).
-    pub blobs: Vec<BlobDto>,
+    /// Content-addressed blob payloads, `(hex SHA-256, bytes)`.
+    pub blobs: Vec<(String, Arc<[u8]>)>,
 }
 
-impl WireDto for RepoSealDto {
+impl WireDto for ReplicatedState {
     fn to_json(&self) -> Json {
+        let package = |(name, original, sanitized): &(String, String, String)| {
+            Json::obj([
+                ("name", Json::str(name)),
+                ("original_hash", Json::str(original)),
+                ("sanitized_hash", Json::str(sanitized)),
+            ])
+        };
+        let blob = |(hash, bytes): &(String, Arc<[u8]>)| {
+            Json::obj([
+                ("hash", Json::str(hash)),
+                ("bytes_hex", Json::str(hex::to_hex(bytes))),
+            ])
+        };
         Json::obj([
             ("id", Json::str(&self.id)),
             ("policy_text", Json::str(&self.policy_text)),
             ("upstream_index", Json::str(&self.upstream_index)),
             ("sanitized_index", Json::str(&self.sanitized_index)),
-            (
-                "packages",
-                Json::arr(self.packages.iter().map(WireDto::to_json)),
-            ),
-            ("sealed_hex", Json::str(&self.sealed_hex)),
+            ("packages", Json::arr(self.packages.iter().map(package))),
+            ("sealed_hex", Json::str(hex::to_hex(&self.sealed))),
             ("seal_counter", Json::Int(self.seal_counter.into())),
             ("index_etag", Json::str(&self.index_etag)),
-            ("blobs", Json::arr(self.blobs.iter().map(WireDto::to_json))),
+            ("blobs", Json::arr(self.blobs.iter().map(blob))),
         ])
     }
 
     fn from_json(v: &Json) -> Result<Self, String> {
-        Ok(RepoSealDto {
+        let unhex = |v: &Json, key: &str| {
+            req(v, key)?
+                .as_str()
+                .and_then(hex::from_hex)
+                .ok_or_else(|| format!("field {key:?} must be a hex string"))
+        };
+        Ok(ReplicatedState {
             id: req_str(v, "id")?,
             policy_text: req_str(v, "policy_text")?,
             upstream_index: req_str(v, "upstream_index")?,
             sanitized_index: req_str(v, "sanitized_index")?,
             packages: req_arr(v, "packages")?
                 .iter()
-                .map(PackageRefDto::from_json)
-                .collect::<Result<_, _>>()?,
-            sealed_hex: req_str(v, "sealed_hex")?,
+                .map(|p| {
+                    Ok((
+                        req_str(p, "name")?,
+                        req_str(p, "original_hash")?,
+                        req_str(p, "sanitized_hash")?,
+                    ))
+                })
+                .collect::<Result<_, String>>()?,
+            sealed: unhex(v, "sealed_hex")?,
             seal_counter: req_u64(v, "seal_counter")?,
             index_etag: req_str(v, "index_etag")?,
             blobs: req_arr(v, "blobs")?
                 .iter()
-                .map(BlobDto::from_json)
-                .collect::<Result<_, _>>()?,
+                .map(|b| Ok((req_str(b, "hash")?, unhex(b, "bytes_hex")?.into())))
+                .collect::<Result<_, String>>()?,
         })
     }
 }
@@ -209,7 +182,7 @@ pub struct ReplicateRequestDto {
     /// Node id of the pushing primary.
     pub primary: String,
     /// The replicated repository state.
-    pub state: RepoSealDto,
+    pub state: ReplicatedState,
     /// Request-id of the client request that triggered this push
     /// (empty means unattributed; the field is omitted on the wire).
     pub request_id: String,
@@ -232,7 +205,7 @@ impl WireDto for ReplicateRequestDto {
         Ok(ReplicateRequestDto {
             epoch: req_u64(v, "epoch")?,
             primary: req_str(v, "primary")?,
-            state: RepoSealDto::from_json(req(v, "state")?)?,
+            state: ReplicatedState::from_json(req(v, "state")?)?,
             request_id: opt_str(v, "request_id")?,
         })
     }

@@ -39,8 +39,8 @@ pub mod json;
 
 pub use client::{IndexFetch, TsrClient, WireError};
 pub use cluster::{
-    BlobDto, ClusterConfigDto, ClusterDigestDto, NodeInfoDto, PackageRefDto, ReplicateAckDto,
-    ReplicateRequestDto, RepoDigestDto, RepoSealDto,
+    ClusterConfigDto, ClusterDigestDto, NodeInfoDto, ReplicateAckDto, ReplicateRequestDto,
+    ReplicatedState, RepoDigestDto,
 };
 pub use dto::{
     AccessLogLine, AttestationDto, CreateRepositoryRequest, ErrorEnvelope, HealthDto, MetricsDto,

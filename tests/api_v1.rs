@@ -496,6 +496,72 @@ fn middleware_stack_rate_limits_and_tags_requests() {
     server.shutdown();
 }
 
+/// The order of the one stack [`TsrService::mount`] assembles, seen from
+/// outside: the rate limit and the body guard answer *inside* request-id,
+/// access log and telemetry, and panic containment sits outside all of
+/// them — for the service's router or any other terminal.
+#[test]
+fn middleware_order_is_pinned_from_outside() {
+    let svc = service(b"mw-order", &["tool"]);
+    let log = std::env::temp_dir().join(format!("tsr-mw-order-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&log);
+    let options = ApiOptions {
+        rate_limit: Some((3, 0.0)), // 3 requests, no refill
+        max_body: 1024,
+        access_log: Some(log.clone()),
+        ..ApiOptions::default()
+    };
+    let inner = svc.clone();
+    let server = svc
+        .mount("127.0.0.1:0", options, move |req| {
+            assert_ne!(req.path, "/boom", "handler panic");
+            inner.handle(req)
+        })
+        .unwrap();
+    let base = format!("http://{}", server.local_addr());
+    let http = tsr::http::Client::new();
+    let send = |method: &str, path: &str, body: &[u8], id: &str| {
+        let resp = http
+            .request(
+                method,
+                &format!("{base}{path}"),
+                body,
+                &[("x-request-id", id)],
+            )
+            .unwrap();
+        assert_eq!(
+            resp.headers.get("x-request-id").map(String::as_str),
+            Some(id)
+        );
+        resp.status
+    };
+    assert_eq!(send("GET", "/v1/healthz", &[], "order-200"), 200);
+    assert_eq!(
+        send("POST", "/v1/repositories", &[b'x'; 2048], "order-413"),
+        413
+    );
+    assert_eq!(send("GET", "/boom", &[], "order-500"), 500);
+    assert_eq!(send("GET", "/v1/healthz", &[], "order-429"), 429);
+    server.shutdown();
+
+    // Both refusals were logged with their ids …
+    let lines = std::fs::read_to_string(&log).unwrap();
+    let _ = std::fs::remove_file(&log);
+    let logged: Vec<(String, u16)> = lines
+        .lines()
+        .map(|l| tsr::wire::AccessLogLine::decode(l).unwrap())
+        .map(|l| (l.request_id, l.status))
+        .collect();
+    for want in [("order-200", 200), ("order-413", 413), ("order-429", 429)] {
+        assert!(logged.contains(&(want.0.to_string(), want.1)), "{lines}");
+    }
+    // … and timed: neither reached a router, so both are `unmatched`.
+    let expo = Exposition::parse(&svc.render_prometheus()).unwrap();
+    let timed = |route| expo.sample("tsr_http_request_duration_us_count", &[("route", route)]);
+    assert_eq!(timed("unmatched"), Some(2.0));
+    assert_eq!(timed("GET /v1/healthz"), Some(1.0));
+}
+
 /// Both 413 layers fire at their own thresholds: the middleware's JSON
 /// envelope above `max_body`, the transport's plain cut-off above 4×.
 #[test]
