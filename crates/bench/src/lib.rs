@@ -12,10 +12,6 @@
 //! - `TSR_KEY_BITS` — TSR signing key size (default `2048`, the paper's
 //!   256-byte signatures; use `1024` for quicker runs).
 
-pub mod clusterrun;
-pub mod loadrun;
-pub mod report;
-
 use std::time::Duration;
 
 use tsr_core::{InitConfigFile, MirrorRef, Policy, RefreshReport, TsrRepository};

@@ -6,7 +6,7 @@
 //! - [`LocalCluster`] / [`LocalTransport`]: in-process loopback with a
 //!   deterministic fault oracle (crashes, continent partitions,
 //!   Byzantine nodes that lie on the wire) — what the multi-node
-//!   simulation scenarios and `loadgen --nodes N` drive,
+//!   simulation scenarios drive,
 //! - [`HttpTransport`]: real HTTP over pooled [`tsr_wire::TsrClient`]s
 //!   for deployments where each node is its own process.
 //!

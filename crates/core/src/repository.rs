@@ -544,22 +544,6 @@ fn etag_of(bytes: &[u8]) -> String {
     )
 }
 
-/// Re-sanitizes one package on demand — used by benchmarks reproducing the
-/// "Original"/"None" cache scenarios of Figure 10.
-///
-/// # Errors
-///
-/// Same as [`PackageSanitizer::sanitize`].
-pub fn sanitize_one(
-    repo: &TsrRepository,
-    blob: &[u8],
-) -> Result<(Vec<u8>, SanitizeRecord), CoreError> {
-    let sanitizer = repo
-        .sanitizer()
-        .ok_or_else(|| CoreError::NotFound("repository not yet refreshed".into()))?;
-    sanitizer.sanitize(blob, &repo.policy().signer_keys_named())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -149,8 +149,8 @@ fn json_escape(s: &str) -> String {
 /// Structured access logging: one canonical JSON line per request —
 /// `{"ts_us":…,"request_id":"…","method":"…","path":"…","route":"…",
 /// "status":…,"latency_us":…,"bytes":…,"tenant":"…"}`. The schema is
-/// mirrored by `tsr_wire::AccessLogLine`, whose strict parser the CI
-/// jsonl-validity check runs over captured logs.
+/// mirrored by `tsr_wire::AccessLogLine`, whose strict parser
+/// `tests/load_contract.rs` runs over a captured log.
 ///
 /// `route` and `tenant` are read from the internal [`ROUTE_HEADER`] /
 /// [`TENANT_HEADER`] response headers the API layer sets (empty when

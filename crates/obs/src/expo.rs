@@ -4,9 +4,10 @@
 //! backslash-escaped help text and label values, and cumulative
 //! histogram `_bucket` series that end in `le="+Inf"` and agree with
 //! the `_count` sample. The parser is the other half of the contract:
-//! the load harness and CI scrape `/v1/metrics?format=prometheus`,
-//! parse with [`Exposition::parse`], and fail the run on malformed
-//! lines, broken bucket monotonicity, or missing required series.
+//! the load-contract and API test tiers scrape
+//! `/v1/metrics?format=prometheus`, parse with [`Exposition::parse`],
+//! and fail on malformed lines, broken bucket monotonicity, or missing
+//! required series.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

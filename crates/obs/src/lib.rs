@@ -12,8 +12,8 @@
 //!   over [`tsr_stats::Histogram`] — with O(1) lock-free hot-path
 //!   updates through cloneable handles,
 //! - [`expo`]: Prometheus text exposition (format version 0.0.4)
-//!   rendering, plus a strict parser the load harness and CI use to
-//!   validate scrapes and estimate server-side quantiles,
+//!   rendering, plus a strict parser the test tiers use to validate
+//!   scrapes and estimate server-side quantiles,
 //! - [`context`]: the request-scoped context that propagates an
 //!   `x-request-id` from the HTTP middleware into core (error
 //!   envelopes, WAL-append events) and the cluster replication fan-out,

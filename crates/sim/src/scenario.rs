@@ -6,11 +6,10 @@
 //! the schedule — so the same scenario value always produces the same
 //! [`SimReport`].
 //!
-//! [`canned_scenarios`] is the library the `scenarios` test tier and the
-//! `scenario_throughput` bench iterate: eight-plus fleets covering every
-//! fault family the paper's threat model names, including the mandated
-//! combination of Byzantine mirrors + continent partition + enclave
-//! crash-restart in one run.
+//! [`canned_scenarios`] is the library the `scenarios` test tier
+//! iterates: eight-plus fleets covering every fault family the paper's
+//! threat model names, including the mandated combination of Byzantine
+//! mirrors + continent partition + enclave crash-restart in one run.
 
 use std::time::Duration;
 

@@ -2,9 +2,9 @@
 //!
 //! The statistics the paper's evaluation uses — percentiles and trimmed
 //! means (all timing tables), Spearman rank correlation with p-values
-//! (Table 4) — plus the HDR-style [`Histogram`] the trace-driven load harness records per-op
-//! latency into (fixed log-scaled buckets, O(1) record, associative
-//! merge, bounded-error quantiles up to p99.9 and beyond).
+//! (Table 4) — plus the HDR-style [`Histogram`] behind the `tsr-obs`
+//! latency series (fixed log-scaled buckets, O(1) record, bounded-error
+//! quantiles up to p99.9 and beyond).
 
 #![warn(missing_docs)]
 
@@ -151,10 +151,7 @@ const BUCKET_COUNT: usize = SUB_BUCKETS as usize + OCTAVES * SUB_BUCKETS as usiz
 /// Values below 64 are recorded **exactly**; larger values land in
 /// logarithmic buckets with 64 sub-buckets per power of two, bounding the
 /// relative quantile error below `1/64` (≈1.6%) across the full `u64`
-/// range. Recording is O(1), the memory footprint is fixed (~30 KB), and
-/// histograms [`merge`](Self::merge) associatively — per-worker histograms
-/// combined in any order yield identical counts, which the load harness's
-/// determinism contract relies on.
+/// range. Recording is O(1) and the memory footprint is fixed (~30 KB).
 ///
 /// # Examples
 ///
@@ -242,17 +239,9 @@ impl Histogram {
 
     /// Records one value.
     pub fn record(&mut self, value: u64) {
-        self.record_n(value, 1);
-    }
-
-    /// Records `n` occurrences of `value`.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.counts[bucket_index(value)] += n;
-        self.count += n;
-        self.sum += u128::from(value) * u128::from(n);
+        self.counts[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum += u128::from(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -330,24 +319,6 @@ impl Histogram {
     pub fn count_le(&self, bound: u64) -> u64 {
         self.counts[..=bucket_index(bound)].iter().sum()
     }
-
-    /// Adds every count of `other` into `self`. Merging is associative and
-    /// commutative: any merge order over a set of histograms produces
-    /// identical state.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Converts durations to milliseconds as f64 (helper for stats over timings).
-pub fn durations_to_ms(ds: &[std::time::Duration]) -> Vec<f64> {
-    ds.iter().map(|d| d.as_secs_f64() * 1000.0).collect()
 }
 
 #[cfg(test)]
@@ -483,36 +454,11 @@ mod tests {
     }
 
     #[test]
-    fn latency_histogram_merge_matches_combined_recording() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
-        for v in [5u64, 80, 3_000, 70_000] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [9u64, 81, 9_999_999] {
-            b.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
-        assert_eq!(a.count(), 7);
-        assert_eq!(a.max(), 9_999_999);
-    }
-
-    #[test]
     fn latency_histogram_empty_is_zero() {
         let h = Histogram::new();
         assert!(h.is_empty());
         assert_eq!(h.quantile(0.99), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.min(), 0);
-    }
-
-    #[test]
-    fn durations_to_ms_converts() {
-        let ds = [std::time::Duration::from_millis(250)];
-        assert_eq!(durations_to_ms(&ds), vec![250.0]);
     }
 }

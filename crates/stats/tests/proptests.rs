@@ -1,7 +1,7 @@
 //! Property-based tests for the HDR-style latency [`Histogram`]:
-//! quantiles must be monotone in `q`, merge must be associative and
-//! commutative, and bucket boundaries must be exact below the linear
-//! threshold and within the documented 1/64 relative error above it.
+//! quantiles must be monotone in `q`, and bucket boundaries must be exact
+//! below the linear threshold and within the documented 1/64 relative
+//! error above it.
 //!
 //! Each property is a plain function of a `u64` seed (expanded through an
 //! `HmacDrbg`), called both from `proptest!` with random seeds and from
@@ -66,41 +66,7 @@ fn quantile_monotonicity_case(seed: u64) {
     assert_eq!(h.quantile(1.0), hi, "seed {seed}: q1");
 }
 
-/// Property 2: merge is associative and commutative, and merging
-/// reproduces recording everything into one histogram.
-fn merge_associativity_case(seed: u64) {
-    let mut rng = HmacDrbg::new(&seed.to_be_bytes());
-    let (a, va) = histogram_from(&mut rng, 60);
-    let (b, vb) = histogram_from(&mut rng, 60);
-    let (c, vc) = histogram_from(&mut rng, 60);
-
-    // (a ⊕ b) ⊕ c
-    let mut left = a.clone();
-    left.merge(&b);
-    left.merge(&c);
-    // a ⊕ (b ⊕ c)
-    let mut bc = b.clone();
-    bc.merge(&c);
-    let mut right = a.clone();
-    right.merge(&bc);
-    assert_eq!(left, right, "seed {seed}: merge not associative");
-
-    // b ⊕ a == a ⊕ b
-    let mut ab = a.clone();
-    ab.merge(&b);
-    let mut ba = b.clone();
-    ba.merge(&a);
-    assert_eq!(ab, ba, "seed {seed}: merge not commutative");
-
-    // Merge equals recording the union directly.
-    let mut all = Histogram::new();
-    for &v in va.iter().chain(&vb).chain(&vc) {
-        all.record(v);
-    }
-    assert_eq!(left, all, "seed {seed}: merge != combined recording");
-}
-
-/// Property 3: values below the linear threshold (64) are stored exactly;
+/// Property 2: values below the linear threshold (64) are stored exactly;
 /// larger values come back from `quantile` with relative error ≤ 1/64.
 fn bucket_boundary_case(seed: u64) {
     let mut rng = HmacDrbg::new(&seed.to_be_bytes());
@@ -135,11 +101,6 @@ proptest! {
     }
 
     #[test]
-    fn merge_associativity(seed in any::<u64>()) {
-        merge_associativity_case(seed);
-    }
-
-    #[test]
     fn bucket_boundary_exactness(seed in any::<u64>()) {
         bucket_boundary_case(seed);
     }
@@ -149,13 +110,6 @@ proptest! {
 fn quantile_monotonicity_regressions() {
     for &seed in REGRESSION_SEEDS {
         quantile_monotonicity_case(seed);
-    }
-}
-
-#[test]
-fn merge_associativity_regressions() {
-    for &seed in REGRESSION_SEEDS {
-        merge_associativity_case(seed);
     }
 }
 

@@ -685,8 +685,8 @@ impl WireDto for ReadyDto {
 /// chain — one JSON object per request.
 ///
 /// The middleware writes these by hand (the HTTP crate sits below this
-/// one), so this decoder doubles as the conformance check: the load
-/// harness strict-parses every emitted line through it.
+/// one), so this decoder doubles as the conformance check:
+/// `tests/load_contract.rs` strict-parses every emitted line through it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccessLogLine {
     /// Wall-clock microseconds since the Unix epoch at response time.

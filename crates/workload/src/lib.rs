@@ -20,8 +20,6 @@
 //! Scale is configurable: proportions are preserved while package counts
 //! and byte sizes shrink to laptop-friendly values.
 
-pub mod loadgen;
-
 use std::collections::BTreeMap;
 
 use tsr_apk::{Index, PackageBuilder};
