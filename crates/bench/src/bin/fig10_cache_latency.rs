@@ -35,8 +35,8 @@ fn main() {
         let original = world
             .repo
             .cache()
-            .read_original(name)
-            .map(|(b, _)| b.to_vec())
+            .original(name)
+            .cloned()
             .expect("cached original");
 
         // Scenario "None": fetch from a same-continent mirror (simulated
@@ -59,10 +59,10 @@ fn main() {
 
         // Scenario "Sanitized": read sanitized from disk + verify hash.
         let t = std::time::Instant::now();
-        let (blob, disk_lat) = world.repo.serve_package(name).expect("serve");
+        let blob = world.repo.serve_package(name).expect("serve");
         let verify_time = t.elapsed();
-        let _ = blob;
-        lat_sanitized.push((disk_lat + verify_time).as_secs_f64() * 1000.0);
+        let disk = disk_read_time(blob.len());
+        lat_sanitized.push((disk + verify_time).as_secs_f64() * 1000.0);
     }
 
     let report = |name: &str, xs: &[f64]| {

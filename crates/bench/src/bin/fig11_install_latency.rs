@@ -48,7 +48,7 @@ fn main() {
     let mut plain_ms = Vec::new();
     for name in &names {
         // TSR-sanitized package.
-        let (blob, _) = world.repo.serve_package(name).expect("serve");
+        let blob = world.repo.serve_package(name).expect("serve");
         if let Ok(t0) = os_tsr.install(&blob) {
             let _ = t0; // first install warms the fs; measure the update
             os_tsr.force_outdated(name);

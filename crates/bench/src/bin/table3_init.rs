@@ -49,7 +49,7 @@ fn main() {
         let t = Instant::now();
         let sanitizer = world2.repo.sanitizer().expect("refreshed");
         for name in &names {
-            if let Some((blob, _)) = world2.repo.cache().read_original(name) {
+            if let Some(blob) = world2.repo.cache().original(name) {
                 let _ = sanitizer.sanitize(blob, &signers);
             }
         }

@@ -614,9 +614,9 @@ fn v1_package(svc: &TsrService, id: &str, name: &str, req: &Request) -> Response
             .and_then(|idx| idx.get(name))
             .map(|entry| entry.content_hash.clone());
         let index_etag = repo.signed_index_etag().map(str::to_string);
-        repo.serve_package_shared(name).map(|(shared, _)| {
+        repo.serve_package(name).map(|blob| {
             (
-                shared,
+                blob,
                 format!("\"{}\"", hash.unwrap_or_default()),
                 index_etag,
             )

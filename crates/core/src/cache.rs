@@ -5,18 +5,21 @@
 //! could revert cached files to older versions, so:
 //!
 //! - every read from the cache is verified against the content hash pinned
-//!   by the in-enclave metadata index,
+//!   by the in-enclave metadata index — the index, never the cached bytes,
+//!   decides which hash is right,
 //! - the metadata indexes themselves survive restarts via **SGX sealing**
 //!   bound to a **TPM monotonic counter**: state is sealed together with
 //!   the counter value, and on restore the unsealed value must equal the
 //!   hardware counter.
+//!
+//! [`PackageCache`] is the one resident holder of a tenant's package
+//! bytes: the serve-side `HotCache` keeps a bounded set of the same
+//! `Arc`s, the blob store keeps files only.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use tsr_crypto::{hex, Sha256};
-use tsr_net::disk_read_time;
 use tsr_sgx::{Enclave, SealedBlob};
 use tsr_tpm::Tpm;
 
@@ -24,10 +27,9 @@ use crate::error::CoreError;
 
 /// In-memory model of TSR's on-disk package cache.
 ///
-/// Blobs are held as `Arc<[u8]>` shared allocations: the HTTP layer
-/// serves them zero-copy via [`tsr_http::Body::Shared`], and the durable
-/// storage engine stores the same allocation under its content hash
-/// without copying.
+/// Blobs are held as `Arc<[u8]>` shared allocations: a reader derefs for
+/// a slice or clones the `Arc`, which is how the HTTP layer serves them
+/// zero-copy via [`tsr_http::Body::Shared`].
 #[derive(Debug, Clone, Default)]
 pub struct PackageCache {
     originals: BTreeMap<String, Arc<[u8]>>,
@@ -50,74 +52,39 @@ impl PackageCache {
         self.sanitized.insert(name.to_string(), blob.into());
     }
 
-    /// Reads the original blob, with the simulated disk latency.
-    pub fn read_original(&self, name: &str) -> Option<(&[u8], Duration)> {
-        self.originals
-            .get(name)
-            .map(|b| (&b[..], disk_read_time(b.len())))
+    /// The original upstream blob of `name`.
+    pub fn original(&self, name: &str) -> Option<&Arc<[u8]>> {
+        self.originals.get(name)
     }
 
-    /// Reads the original blob as a shared allocation (no copy).
-    pub fn read_original_shared(&self, name: &str) -> Option<(Arc<[u8]>, Duration)> {
-        self.originals
-            .get(name)
-            .map(|b| (Arc::clone(b), disk_read_time(b.len())))
+    /// The sanitized blob of `name`, unverified: for presence checks and
+    /// for carrying bytes whose hash the receiver checks.
+    pub fn sanitized(&self, name: &str) -> Option<&Arc<[u8]>> {
+        self.sanitized.get(name)
     }
 
-    /// Reads the sanitized blob, with the simulated disk latency.
-    pub fn read_sanitized(&self, name: &str) -> Option<(&[u8], Duration)> {
-        self.sanitized
-            .get(name)
-            .map(|b| (&b[..], disk_read_time(b.len())))
-    }
-
-    /// Reads the sanitized blob as a shared allocation (no copy).
-    pub fn read_sanitized_shared(&self, name: &str) -> Option<(Arc<[u8]>, Duration)> {
-        self.sanitized
-            .get(name)
-            .map(|b| (Arc::clone(b), disk_read_time(b.len())))
-    }
-
-    /// Reads the sanitized blob and verifies it against `expected_hash`
-    /// (hex SHA-256 from the in-enclave index) before returning it —
-    /// the untrusted-disk rollback check.
+    /// The sanitized blob of `name`, verified against `pinned_hash` (hex
+    /// SHA-256 from the in-enclave index) before it is returned — the
+    /// untrusted-disk rollback check.
     ///
     /// # Errors
     ///
     /// [`CoreError::NotFound`] when the entry is missing,
     /// [`CoreError::RollbackDetected`] when the bytes do not match.
-    pub fn read_sanitized_verified(
+    pub fn sanitized_verified(
         &self,
         name: &str,
-        expected_hash: &str,
-    ) -> Result<(&[u8], Duration), CoreError> {
-        let (blob, lat) = self
-            .read_sanitized(name)
+        pinned_hash: &str,
+    ) -> Result<&Arc<[u8]>, CoreError> {
+        let blob = self
+            .sanitized(name)
             .ok_or_else(|| CoreError::NotFound(format!("package {name} not cached")))?;
-        let got = hex::to_hex(&Sha256::digest(blob));
-        if got != expected_hash {
+        if hex::to_hex(&Sha256::digest(blob)) != pinned_hash {
             return Err(CoreError::RollbackDetected(format!(
                 "cached package {name} does not match the sealed index"
             )));
         }
-        Ok((blob, lat))
-    }
-
-    /// [`Self::read_sanitized_verified`] returning the shared allocation,
-    /// for the zero-copy serving path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::read_sanitized_verified`].
-    pub fn read_sanitized_verified_shared(
-        &self,
-        name: &str,
-        expected_hash: &str,
-    ) -> Result<(Arc<[u8]>, Duration), CoreError> {
-        self.read_sanitized_verified(name, expected_hash)?;
-        Ok(self
-            .read_sanitized_shared(name)
-            .expect("verified read implies presence"))
+        Ok(blob)
     }
 
     /// Whether the original of `name` is cached with exactly `hash`.
@@ -142,22 +109,6 @@ impl PackageCache {
     /// Number of cached originals / sanitized blobs.
     pub fn stats(&self) -> (usize, usize) {
         (self.originals.len(), self.sanitized.len())
-    }
-
-    /// Total bytes of all sanitized blobs (repository size, Figure 9).
-    pub fn sanitized_total_bytes(&self) -> usize {
-        self.sanitized.values().map(|b| b.len()).sum()
-    }
-
-    /// Total bytes of all original blobs.
-    pub fn original_total_bytes(&self) -> usize {
-        self.originals.values().map(|b| b.len()).sum()
-    }
-
-    /// **Failure injection:** overwrite a sanitized entry, simulating an
-    /// adversary tampering with the untrusted disk.
-    pub fn tamper_sanitized(&mut self, name: &str, blob: impl Into<Arc<[u8]>>) {
-        self.sanitized.insert(name.to_string(), blob.into());
     }
 }
 
@@ -188,13 +139,17 @@ impl SealedState {
             return Err(CoreError::SealedState("truncated".into()));
         }
         let counter = u64::from_be_bytes(bytes[..8].try_into().unwrap());
-        let ulen = u64::from_be_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        if bytes.len() < 16 + ulen {
-            return Err(CoreError::SealedState("truncated index".into()));
-        }
-        let upstream_index = String::from_utf8(bytes[16..16 + ulen].to_vec())
+        let ulen = u64::from_be_bytes(bytes[8..16].try_into().unwrap());
+        // `ulen` comes from the blob: a prefix near `usize::MAX` must not
+        // wrap past the length check.
+        let split = usize::try_from(ulen)
+            .ok()
+            .and_then(|ulen| ulen.checked_add(16))
+            .filter(|&split| split <= bytes.len())
+            .ok_or_else(|| CoreError::SealedState("truncated index".into()))?;
+        let upstream_index = String::from_utf8(bytes[16..split].to_vec())
             .map_err(|_| CoreError::SealedState("non-utf8 index".into()))?;
-        let sanitized_index = String::from_utf8(bytes[16 + ulen..].to_vec())
+        let sanitized_index = String::from_utf8(bytes[split..].to_vec())
             .map_err(|_| CoreError::SealedState("non-utf8 index".into()))?;
         Ok(SealedState {
             upstream_index,
@@ -283,12 +238,10 @@ mod tests {
         let mut c = PackageCache::new();
         c.store_original("a", vec![1; 100]);
         c.store_sanitized("a", vec![2; 120]);
-        let (o, lat_o) = c.read_original("a").unwrap();
-        assert_eq!(o, &[1; 100][..]);
-        assert!(lat_o > Duration::ZERO);
+        assert_eq!(c.original("a").unwrap()[..], [1; 100]);
+        assert_eq!(c.sanitized("a").unwrap()[..], [2; 120]);
+        assert!(c.original("b").is_none() && c.sanitized("b").is_none());
         assert_eq!(c.stats(), (1, 1));
-        assert_eq!(c.sanitized_total_bytes(), 120);
-        assert_eq!(c.original_total_bytes(), 100);
     }
 
     #[test]
@@ -297,14 +250,14 @@ mod tests {
         let blob = vec![7u8; 64];
         let h = hex::to_hex(&Sha256::digest(&blob));
         c.store_sanitized("p", blob);
-        assert!(c.read_sanitized_verified("p", &h).is_ok());
-        c.tamper_sanitized("p", vec![0u8; 64]);
+        assert!(c.sanitized_verified("p", &h).is_ok());
+        c.store_sanitized("p", vec![0u8; 64]);
         assert!(matches!(
-            c.read_sanitized_verified("p", &h),
+            c.sanitized_verified("p", &h),
             Err(CoreError::RollbackDetected(_))
         ));
         assert!(matches!(
-            c.read_sanitized_verified("missing", &h),
+            c.sanitized_verified("missing", &h),
             Err(CoreError::NotFound(_))
         ));
     }
@@ -395,6 +348,24 @@ mod tests {
             SealedState::unseal(&blob, &evil, &tpm, cid),
             Err(CoreError::SealedState(_))
         ));
+    }
+
+    #[test]
+    fn sealed_state_with_an_oversized_length_prefix_is_rejected() {
+        let cpu = Cpu::new(b"c");
+        let enclave = cpu.load_enclave(b"tsr");
+        // What a peer holding the platform sealing key can push: a valid
+        // seal over a payload whose index length prefix wraps `16 + ulen`.
+        for ulen in [u64::MAX, u64::MAX - 7, 1 << 40] {
+            let mut payload = 7u64.to_be_bytes().to_vec();
+            payload.extend_from_slice(&ulen.to_be_bytes());
+            payload.extend_from_slice(b"X:1\n");
+            let blob = enclave.seal(&payload).to_bytes();
+            assert!(matches!(
+                SealedState::peek(&blob, &enclave),
+                Err(CoreError::SealedState(m)) if m == "truncated index"
+            ));
+        }
     }
 
     #[test]

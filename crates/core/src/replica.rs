@@ -52,11 +52,11 @@ pub(crate) fn image_of(repo: &TsrRepository, seal_counter: u64) -> ReplicatedSta
     let mut have = std::collections::BTreeSet::new();
     for entry in upstream.into_iter().flat_map(|idx| idx.iter()) {
         // Policy-excluded packages were never downloaded.
-        let Some((orig, _)) = repo.cache().read_original_shared(&entry.name) else {
+        let Some(orig) = repo.cache().original(&entry.name) else {
             continue;
         };
         if have.insert(entry.content_hash.clone()) {
-            blobs.push((entry.content_hash.clone(), orig));
+            blobs.push((entry.content_hash.clone(), Arc::clone(orig)));
         }
         // Empty for a package the sanitizer rejected.
         let shash = sanitized
@@ -64,8 +64,8 @@ pub(crate) fn image_of(repo: &TsrRepository, seal_counter: u64) -> ReplicatedSta
             .map(|e| e.content_hash.clone())
             .unwrap_or_default();
         if !shash.is_empty() && have.insert(shash.clone()) {
-            if let Some((san, _)) = repo.cache().read_sanitized_shared(&entry.name) {
-                blobs.push((shash.clone(), san));
+            if let Some(san) = repo.cache().sanitized(&entry.name) {
+                blobs.push((shash.clone(), Arc::clone(san)));
             }
         }
         packages.push((entry.name.clone(), entry.content_hash.clone(), shash));
@@ -130,7 +130,7 @@ impl TsrService {
         }
         for (hash, blob) in &image.blobs {
             if !eng.has_blob(hash) {
-                eng.put_blob_shared(blob).map_err(store_err)?;
+                eng.put_blob(blob).map_err(store_err)?;
             }
         }
         for record in &sealed {
@@ -151,8 +151,9 @@ impl TsrService {
     /// the unseal check requires hardware == sealed), unseals and
     /// re-signs, then fills the package cache for the content hashes
     /// pinned in the *just-unsealed* indexes — each blob from `pushed`,
-    /// else from the local blob store. Nothing the sender says about
-    /// which hash belongs to which package is used, and a WAL torn
+    /// else read (and verified) from the local blob store, which keeps no
+    /// copy: the cache is the resident holder. Nothing the sender says
+    /// about which hash belongs to which package is used, and a WAL torn
     /// between the refresh and seal records still recovers exactly the
     /// state the seal describes (older blobs are never deleted).
     ///
@@ -184,9 +185,9 @@ impl TsrService {
             .collect();
         let pushed: BTreeMap<&str, &Arc<[u8]>> =
             pushed.iter().map(|(h, b)| (h.as_str(), b)).collect();
-        let mut eng = self.shared.store.as_ref().map(lock);
+        let eng = self.shared.store.as_ref().map(lock);
         for (name, hash, is_sanitized) in wanted {
-            let blob = match (pushed.get(hash.as_str()), &mut eng) {
+            let blob = match (pushed.get(hash.as_str()), &eng) {
                 (Some(blob), _) => Arc::clone(blob),
                 (None, Some(eng)) if eng.has_blob(&hash) => {
                     eng.get_blob(&hash).map_err(store_err)?
@@ -301,7 +302,7 @@ impl TsrService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::tests::{mirrors, policy_text, service, sim_backend};
+    use crate::service::tests::{mirrors, policy_text, service, sim_backend, snapshot};
     use tsr_net::LatencyModel;
     use tsr_simfs::SimFs;
     use tsr_store::RecoveryReport;
@@ -336,9 +337,7 @@ mod tests {
     }
 
     fn served(svc: &TsrService, id: &str) -> Served {
-        let digest = |b: Option<(&[u8], std::time::Duration)>| {
-            b.map(|(b, _)| hex::to_hex(&tsr_crypto::Sha256::digest(b)))
-        };
+        let digest = |b: Option<&Arc<[u8]>>| b.map(|b| hex::to_hex(&tsr_crypto::Sha256::digest(b)));
         let names = |idx: Option<&Index>| -> Vec<String> {
             idx.into_iter()
                 .flat_map(Index::iter)
@@ -350,13 +349,13 @@ mod tests {
             etag: repo.signed_index_etag().unwrap().to_string(),
             packages: names(repo.sanitized_index())
                 .into_iter()
-                .map(|n| (n.clone(), repo.serve_package(&n).unwrap().0))
+                .map(|n| (n.clone(), repo.serve_package(&n).unwrap().to_vec()))
                 .collect(),
             cached: names(repo.upstream_index())
                 .into_iter()
                 .map(|n| {
-                    let original = digest(repo.cache().read_original(&n));
-                    let sanitized = digest(repo.cache().read_sanitized(&n));
+                    let original = digest(repo.cache().original(&n));
+                    let sanitized = digest(repo.cache().sanitized(&n));
                     (n, original, sanitized)
                 })
                 .collect(),
@@ -538,6 +537,30 @@ mod tests {
         assert_eq!(served(&replica, &id), want);
         assert_eq!(recovered.export_replicated_state(&id).unwrap(), image);
         assert_eq!(replica.export_replicated_state(&id).unwrap(), image);
+    }
+
+    #[test]
+    fn nothing_pins_a_superseded_package_version() {
+        let (svc, _) = stored_service(&Arc::new(Mutex::new(SimFs::new())));
+        let (id, _) = svc.create_repository(&policy_text()).unwrap();
+        svc.refresh(&id).unwrap();
+        let sanitized = |repo: &TsrRepository| Arc::clone(repo.cache().sanitized("tool").unwrap());
+        let old = Arc::downgrade(&svc.with_repository(&id, sanitized).unwrap());
+        // Served once, the serve cache holds the same allocation.
+        let get = tsr_http::Request {
+            method: "GET".into(),
+            path: format!("/v1/repositories/{id}/packages/tool"),
+            headers: Default::default(),
+            body: Vec::new(),
+        };
+        assert_eq!(svc.handle(&get).status, 200);
+        assert_eq!(old.strong_count(), 2, "package cache + serve cache");
+
+        svc.with_mirrors(|ms| tsr_mirror::publish_to_all(ms, &snapshot(2, "1.1")));
+        svc.refresh(&id).unwrap();
+        let new = svc.with_repository(&id, sanitized).unwrap();
+        assert!(old.upgrade().is_none(), "the 1.0 blob is still resident");
+        assert_eq!(svc.fetch_package(&id, "tool").unwrap()[..], new[..]);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! A TSR repository instance: one client's logically separated, sanitized
 //! view of the upstream repository (paper §5.2–§5.5).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tsr_apk::Index;
 #[cfg(test)]
 use tsr_apk::Package;
+use tsr_apk::{Index, IndexEntry};
 use tsr_crypto::drbg::HmacDrbg;
 use tsr_crypto::{RsaPrivateKey, RsaPublicKey};
 use tsr_mirror::Mirror;
@@ -275,7 +276,7 @@ impl TsrRepository {
         //    is folded in index order, keeping id assignment stable).
         let blobs: Vec<&[u8]> = new_index
             .iter()
-            .filter_map(|e| self.cache.read_original(&e.name).map(|(b, _)| b))
+            .filter_map(|e| self.cache.original(&e.name).map(|b| &b[..]))
             .collect();
         let universe = scan_universe_parallel(&blobs, workers);
         drop(blobs);
@@ -304,11 +305,10 @@ impl TsrRepository {
             if !self.policy.permits_package(&entry.name) {
                 continue;
             }
-            let prev_ok = self
+            let prev = self
                 .sanitized_index
                 .as_ref()
-                .and_then(|idx| idx.get(&entry.name))
-                .is_some();
+                .and_then(|idx| idx.get(&entry.name));
             let upstream_changed = self
                 .upstream_index
                 .as_ref()
@@ -321,19 +321,21 @@ impl TsrRepository {
                     .get(&entry.name)
                     .copied()
                     .unwrap_or(false);
-            if prev_ok && !upstream_changed && !needs_account_refresh {
-                // Keep the existing sanitized blob.
-                if let Some((blob, _)) = self.cache.read_sanitized(&entry.name) {
-                    sanitized_index.upsert(Index::entry_for_blob(
-                        &entry.name,
-                        &entry.version,
-                        &entry.depends,
-                        blob,
-                    ));
-                    continue;
-                }
+            // A kept package keeps the hash the previous index pinned. The
+            // cache (untrusted disk) is asked only whether a blob is there;
+            // a blob that is not the pinned one is caught when served.
+            let kept = !upstream_changed
+                && !needs_account_refresh
+                && self.cache.sanitized(&entry.name).is_some();
+            if let (Some(prev), true) = (prev, kept) {
+                sanitized_index.upsert(IndexEntry {
+                    version: entry.version.clone(),
+                    depends: entry.depends.clone(),
+                    ..prev.clone()
+                });
+                continue;
             }
-            let Some((original, _)) = self.cache.read_original(&entry.name) else {
+            let Some(original) = self.cache.original(&entry.name) else {
                 continue;
             };
             meta.push((
@@ -398,29 +400,15 @@ impl TsrRepository {
     }
 
     /// Serves a sanitized package from the cache, verifying it against the
-    /// in-enclave index first (rollback protection). Returns the blob and
-    /// the simulated disk latency.
+    /// in-enclave index first (rollback protection). Returns the cache's
+    /// shared allocation: no copy between the verified read and the
+    /// reactor's vectored writer.
     ///
     /// # Errors
     ///
     /// [`CoreError::NotFound`] for unknown packages,
     /// [`CoreError::RollbackDetected`] when the cached bytes were tampered.
-    pub fn serve_package(&self, name: &str) -> Result<(Vec<u8>, Duration), CoreError> {
-        self.serve_package_shared(name)
-            .map(|(blob, lat)| (blob.to_vec(), lat))
-    }
-
-    /// [`Self::serve_package`] returning the cache's shared allocation —
-    /// the zero-copy serving path (no clone between the verified cache
-    /// read and the reactor's vectored writer).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::serve_package`].
-    pub fn serve_package_shared(
-        &self,
-        name: &str,
-    ) -> Result<(std::sync::Arc<[u8]>, Duration), CoreError> {
+    pub fn serve_package(&self, name: &str) -> Result<Arc<[u8]>, CoreError> {
         let idx = self
             .sanitized_index
             .as_ref()
@@ -429,7 +417,8 @@ impl TsrRepository {
             .get(name)
             .ok_or_else(|| CoreError::NotFound(format!("package {name}")))?;
         self.cache
-            .read_sanitized_verified_shared(name, &entry.content_hash)
+            .sanitized_verified(name, &entry.content_hash)
+            .cloned()
     }
 
     /// The sanitized index (after a refresh).
@@ -683,7 +672,7 @@ mod tests {
         assert!(idx.get("badpkg").is_none());
 
         // Serving a package verifies against the index and the TSR key.
-        let (blob, _) = repo.serve_package("websrv").unwrap();
+        let blob = repo.serve_package("websrv").unwrap();
         let pkg = Package::parse(&blob).unwrap();
         pkg.verify(repo.public_key()).unwrap();
         assert!(pkg
@@ -751,7 +740,7 @@ mod tests {
         );
         assert!(!names.contains(&"plain"), "plain untouched");
         // And the new preamble indeed lists both users.
-        let (blob, _) = repo.serve_package("websrv").unwrap();
+        let blob = repo.serve_package("websrv").unwrap();
         let pkg = Package::parse(&blob).unwrap();
         let body = pkg.scripts.post_install.unwrap();
         assert!(body.contains(" db\n"));
@@ -780,7 +769,31 @@ mod tests {
         let mut w = World::new();
         let mut repo = w.repo();
         w.refresh(&mut repo).unwrap();
-        repo.cache_mut().tamper_sanitized("plain", vec![0u8; 10]);
+        repo.cache_mut().store_sanitized("plain", vec![0u8; 10]);
+        assert!(matches!(
+            repo.serve_package("plain"),
+            Err(CoreError::RollbackDetected(_))
+        ));
+    }
+
+    #[test]
+    fn a_tampered_cache_entry_is_never_signed_into_the_next_index() {
+        let mut w = World::new();
+        let mut repo = w.repo();
+        w.refresh(&mut repo).unwrap();
+        let pinned = repo
+            .sanitized_index()
+            .unwrap()
+            .get("plain")
+            .unwrap()
+            .clone();
+        repo.cache_mut().store_sanitized("plain", vec![0u8; 10]);
+        // The refresh keeps `plain` (nothing changed upstream): the entry
+        // it signs is the one the previous index pinned, whatever the
+        // untrusted cache holds now.
+        let report = w.refresh(&mut repo).unwrap();
+        assert!(report.sanitized.is_empty());
+        assert_eq!(repo.sanitized_index().unwrap().get("plain"), Some(&pinned));
         assert!(matches!(
             repo.serve_package("plain"),
             Err(CoreError::RollbackDetected(_))

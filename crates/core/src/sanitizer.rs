@@ -335,22 +335,6 @@ pub fn scan_universe_parallel(blobs: &[&[u8]], workers: usize) -> UserGroupUnive
     universe
 }
 
-/// Convenience for tests/benches: sanitize with an upstream verification
-/// bypass (treats the package's own signer as trusted).
-///
-/// # Errors
-///
-/// Same as [`PackageSanitizer::sanitize`], minus signature failures.
-pub fn sanitize_trusting_signer(
-    sanitizer: &PackageSanitizer,
-    blob: &[u8],
-    upstream_key: &RsaPublicKey,
-) -> Result<(Vec<u8>, SanitizeRecord), CoreError> {
-    let pkg = Package::parse(blob).map_err(CoreError::Package)?;
-    let keys = vec![(pkg.signer.clone(), upstream_key.clone())];
-    sanitizer.sanitize(blob, &keys)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

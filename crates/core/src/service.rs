@@ -264,15 +264,6 @@ impl TsrService {
         self.shared.workers.load(Ordering::Relaxed)
     }
 
-    /// Replaces the mirror fleet (tests/benches reconfigure behaviours).
-    pub fn set_mirrors(&self, mirrors: Vec<Mirror>) {
-        *self
-            .shared
-            .mirrors
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = mirrors;
-    }
-
     /// Runs `f` with mutable access to the mirror fleet.
     pub fn with_mirrors<R>(&self, f: impl FnOnce(&mut Vec<Mirror>) -> R) -> R {
         f(&mut self
@@ -585,7 +576,7 @@ impl TsrService {
     pub fn fetch_package(&self, id: &str, name: &str) -> Result<Vec<u8>, CoreError> {
         let shard = self.repo(id)?;
         let repo = lock(&shard);
-        repo.serve_package(name).map(|(b, _)| b)
+        repo.serve_package(name).map(|b| b.to_vec())
     }
 
     /// Runs `f` with shared access to a repository.
@@ -724,24 +715,28 @@ pub(crate) mod tests {
         )
     }
 
-    pub(crate) fn mirrors() -> Vec<Mirror> {
+    /// Upstream snapshot `id`: the one package `tool` at `version`.
+    pub(crate) fn snapshot(id: u64, version: &str) -> RepoSnapshot {
         let mut index = Index::new();
-        index.snapshot = 1;
+        index.snapshot = id;
         let mut packages = Map::new();
-        let mut b = PackageBuilder::new("tool", "1.0");
+        let mut b = PackageBuilder::new("tool", version);
         b.file(Entry::file("usr/bin/tool", b"tool-bytes".to_vec()));
         let blob = b.build(upstream_key(), "builder");
-        index.upsert(Index::entry_for_blob("tool", "1.0", &[], &blob));
+        index.upsert(Index::entry_for_blob("tool", version, &[], &blob));
         packages.insert("tool".to_string(), blob);
-        let snap = RepoSnapshot {
-            snapshot_id: 1,
+        RepoSnapshot {
+            snapshot_id: id,
             signed_index: index.sign(upstream_key(), "builder"),
             packages,
-        };
+        }
+    }
+
+    pub(crate) fn mirrors() -> Vec<Mirror> {
         let mut ms: Vec<Mirror> = (0..3)
             .map(|i| Mirror::new(format!("m{i}"), Continent::Europe))
             .collect();
-        publish_to_all(&mut ms, &snap);
+        publish_to_all(&mut ms, &snapshot(1, "1.0"));
         ms
     }
 

@@ -211,7 +211,7 @@ mod tests {
             inner: SimFsBackend::new(fs, "/store"),
             max_read: Arc::clone(&max_read),
         };
-        let (mut engine, _) = StoreEngine::open(Box::new(spy)).unwrap();
+        let (engine, _) = StoreEngine::open(Box::new(spy)).unwrap();
         assert_eq!(&engine.get_blob(&hash).unwrap()[..], &blob[..]);
         let peak = *max_read.lock().unwrap();
         assert!(peak > 0, "spy saw no reads");

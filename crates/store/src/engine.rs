@@ -1,5 +1,10 @@
 //! The storage engine: blob store + WAL + snapshot, and recovery.
 //!
+//! The engine keeps no blob resident: a put writes through to a file, a
+//! get streams the file back and verifies it against the hash it is
+//! stored under, every time. Who holds the bytes afterwards is the
+//! caller's business (`tsr-core`'s `PackageCache`).
+//!
 //! On-"disk" layout (relative to the backend root):
 //!
 //! ```text
@@ -210,9 +215,6 @@ pub struct RecoveryReport {
 pub struct StoreEngine {
     backend: Box<dyn StoreBackend>,
     state: StoreState,
-    /// Blob cache: every blob loaded or stored this process lifetime,
-    /// as shared allocations the HTTP layer can serve zero-copy.
-    blobs: BTreeMap<String, Arc<[u8]>>,
     records_since_snapshot: usize,
     snapshot_every: usize,
     counters: StoreCounters,
@@ -222,7 +224,6 @@ impl std::fmt::Debug for StoreEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreEngine")
             .field("repos", &self.state.repos.len())
-            .field("cached_blobs", &self.blobs.len())
             .field("counters", &self.counters)
             .finish()
     }
@@ -234,14 +235,10 @@ fn blob_path(hash: &str) -> String {
     format!("blobs/{shard}/{hash}")
 }
 
-fn hash_of(bytes: &[u8]) -> String {
-    hex::to_hex(&Sha256::digest(bytes))
-}
-
 impl StoreEngine {
     /// Opens the engine over `backend`, running snapshot-then-log
     /// recovery. A torn log tail is truncated away; blob contents are
-    /// verified lazily on [`StoreEngine::get_blob`].
+    /// verified on every [`StoreEngine::get_blob`].
     ///
     /// # Errors
     ///
@@ -252,7 +249,6 @@ impl StoreEngine {
         let mut engine = StoreEngine {
             backend,
             state: StoreState::default(),
-            blobs: BTreeMap::new(),
             records_since_snapshot: 0,
             snapshot_every: SNAPSHOT_EVERY_DEFAULT,
             counters: StoreCounters::default(),
@@ -353,50 +349,28 @@ impl StoreEngine {
     }
 
     /// Stores a blob under its content hash, deduplicated: bytes already
-    /// present (this run or on disk) are not rewritten. Returns the hex
-    /// SHA-256 key.
+    /// on disk are not rewritten. Returns the hex SHA-256 key.
     ///
     /// # Errors
     ///
     /// [`StoreError::Backend`] on I/O failure.
     pub fn put_blob(&mut self, bytes: &[u8]) -> Result<String, StoreError> {
-        let hash = hash_of(bytes);
-        if !self.blobs.contains_key(&hash) {
-            let path = blob_path(&hash);
-            if !self.backend.exists(&path) {
-                self.backend.write(&path, bytes)?;
-            }
-            self.blobs.insert(hash.clone(), Arc::from(bytes.to_vec()));
+        let hash = hex::to_hex(&Sha256::digest(bytes));
+        let path = blob_path(&hash);
+        if !self.backend.exists(&path) {
+            self.backend.write(&path, bytes)?;
         }
         Ok(hash)
     }
 
-    /// [`StoreEngine::put_blob`] for a blob the caller already holds as
-    /// a shared allocation — the cache entry shares it, no byte copy.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Backend`] on I/O failure.
-    pub fn put_blob_shared(&mut self, blob: &Arc<[u8]>) -> Result<String, StoreError> {
-        let hash = hash_of(blob);
-        if !self.blobs.contains_key(&hash) {
-            let path = blob_path(&hash);
-            if !self.backend.exists(&path) {
-                self.backend.write(&path, blob)?;
-            }
-            self.blobs.insert(hash.clone(), Arc::clone(blob));
-        }
-        Ok(hash)
-    }
-
-    /// Whether a blob with `hash` is present (cache or disk).
+    /// Whether a blob file for `hash` is on disk.
     pub fn has_blob(&self, hash: &str) -> bool {
-        self.blobs.contains_key(hash) || self.backend.exists(&blob_path(hash))
+        self.backend.exists(&blob_path(hash))
     }
 
     /// Loads a blob as a shared allocation, verifying the bytes against
-    /// the content hash they are stored under (the disk is untrusted).
-    /// Cached after the first load; repeated gets share the allocation.
+    /// the content hash they are stored under — on every load: the disk
+    /// is untrusted and nothing is kept resident between calls.
     ///
     /// The file is streamed from the backend in [`BLOB_READ_CHUNK`]-byte
     /// ranged reads feeding an incremental hasher, so recovery never
@@ -407,10 +381,7 @@ impl StoreEngine {
     ///
     /// [`StoreError::MissingBlob`] when absent,
     /// [`StoreError::HashMismatch`] when the disk bytes were tampered.
-    pub fn get_blob(&mut self, hash: &str) -> Result<Arc<[u8]>, StoreError> {
-        if let Some(b) = self.blobs.get(hash) {
-            return Ok(Arc::clone(b));
-        }
+    pub fn get_blob(&self, hash: &str) -> Result<Arc<[u8]>, StoreError> {
         let path = blob_path(hash);
         if !self.backend.exists(&path) {
             return Err(StoreError::MissingBlob(hash.to_string()));
@@ -438,9 +409,7 @@ impl StoreEngine {
                 got,
             });
         }
-        let blob: Arc<[u8]> = Arc::from(bytes);
-        self.blobs.insert(hash.to_string(), Arc::clone(&blob));
-        Ok(blob)
+        Ok(Arc::from(bytes))
     }
 }
 
@@ -553,42 +522,46 @@ mod tests {
         assert_eq!(r.state().next_id, 3, "deleted ids are never reallocated");
     }
 
+    /// Edits one file of `e`'s disk in place (the adversary's move).
+    fn edit_file(e: &mut StoreEngine, path: &str, edit: impl FnOnce(&mut Vec<u8>)) {
+        let mut mem = backend_as_mem(e).clone();
+        edit(mem.file_mut(path).unwrap());
+        e.backend = Box::new(mem);
+    }
+
     #[test]
     fn blobs_deduplicated_and_verified() {
         let mut e = engine();
         let h1 = e.put_blob(b"same bytes").unwrap();
-        let h2 = e.put_blob(b"same bytes").unwrap();
-        assert_eq!(h1, h2);
         assert!(e.has_blob(&h1));
-        let a = e.get_blob(&h1).unwrap();
-        let b = e.get_blob(&h1).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "cached loads share the allocation");
 
         // A fresh engine on the same disk re-reads and verifies.
-        let (mut r, _) = reopen(&e);
+        let (r, _) = reopen(&e);
         assert_eq!(&r.get_blob(&h1).unwrap()[..], b"same bytes");
         assert!(matches!(
             r.get_blob(&"0".repeat(64)),
             Err(StoreError::MissingBlob(_))
         ));
 
-        // Tampered disk bytes are caught by the hash check.
-        let mut mem = backend_as_mem(&e).clone();
-        mem.file_mut(&blob_path(&h1)).unwrap()[0] ^= 0xFF;
-        let (mut t, _) = StoreEngine::open(Box::new(mem)).unwrap();
-        assert!(matches!(
-            t.get_blob(&h1),
-            Err(StoreError::HashMismatch { .. })
-        ));
+        // The second put of the same bytes performs no backend write: a
+        // marker left in the file survives it.
+        edit_file(&mut e, &blob_path(&h1), |f| f.push(b'!'));
+        assert_eq!(e.put_blob(b"same bytes").unwrap(), h1);
+        assert_eq!(e.backend().read(&blob_path(&h1)).unwrap(), b"same bytes!");
     }
 
     #[test]
-    fn shared_put_shares_the_allocation() {
+    fn every_get_blob_verifies_the_file() {
         let mut e = engine();
-        let blob: Arc<[u8]> = Arc::from(b"shared".to_vec());
-        let h = e.put_blob_shared(&blob).unwrap();
-        let got = e.get_blob(&h).unwrap();
-        assert!(Arc::ptr_eq(&blob, &got));
+        let h = e.put_blob(b"same bytes").unwrap();
+        assert_eq!(&e.get_blob(&h).unwrap()[..], b"same bytes");
+        // Flipped on disk after one successful load: the next load reads
+        // the file again, so it is reported rather than served from memory.
+        edit_file(&mut e, &blob_path(&h), |f| f[0] ^= 0xFF);
+        assert!(matches!(
+            e.get_blob(&h),
+            Err(StoreError::HashMismatch { .. })
+        ));
     }
 
     #[test]

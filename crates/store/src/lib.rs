@@ -15,10 +15,10 @@
 //! Recovery ([`StoreEngine::open`]) loads the latest snapshot, then
 //! replays the log tail on top of it. A torn record at the end of the log
 //! — a crash mid-append — fails its checksum and is discarded whole;
-//! a record is either fully applied or never applied. Blob reads verify
-//! the content hash (the disk is untrusted, exactly like the package
-//! cache in the paper's §5.5), and loaded blobs are handed out as
-//! `Arc<[u8]>` so the HTTP layer serves them zero-copy.
+//! a record is either fully applied or never applied. Every blob read
+//! verifies the content hash (the disk is untrusted, exactly like the
+//! package cache in the paper's §5.5); the engine keeps no blob resident
+//! and hands each load out as an `Arc<[u8]>` for its caller to hold.
 //!
 //! The byte storage underneath is pluggable via [`StoreBackend`]:
 //! [`DirBackend`] maps onto a real directory for production and the load

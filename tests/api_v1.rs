@@ -186,7 +186,7 @@ fn error_statuses_are_stable_and_distinct() {
 
     // Tamper the sanitized cache: serving must yield rollback_detected.
     svc.with_repository_mut(&id, |repo| {
-        repo.cache_mut().tamper_sanitized("tool", vec![0u8; 16]);
+        repo.cache_mut().store_sanitized("tool", vec![0u8; 16]);
     })
     .unwrap();
 
@@ -205,6 +205,19 @@ fn error_statuses_are_stable_and_distinct() {
     let resp = svc.handle(&request(
         "GET",
         &format!("/repositories/{id}/packages/tool"),
+        b"",
+    ));
+    assert_eq!(resp.status, 409);
+    let env = ErrorEnvelope::decode(&String::from_utf8_lossy(&resp.body)).unwrap();
+    assert_eq!(env.code, "rollback_detected");
+
+    // A refresh in between does not launder the tampered bytes into the
+    // next signed index: the pinned hash survives it.
+    let refresh = format!("/v1/repositories/{id}/refresh");
+    assert_eq!(svc.handle(&request("POST", &refresh, b"")).status, 200);
+    let resp = svc.handle(&request(
+        "GET",
+        &format!("/v1/repositories/{id}/packages/tool"),
         b"",
     ));
     assert_eq!(resp.status, 409);

@@ -132,7 +132,7 @@ fn corrupt_mirror_packages_never_served() {
     // Downloads fall through to honest mirrors thanks to index-pinned hashes.
     assert!(report.downloaded > 0);
     for entry in w.repo.sanitized_index().unwrap().iter() {
-        let (blob, _) = w.repo.serve_package(&entry.name).unwrap();
+        let blob = w.repo.serve_package(&entry.name).unwrap();
         tsr::apk::Package::parse(&blob)
             .unwrap()
             .verify(w.repo.public_key())
@@ -164,7 +164,7 @@ fn disk_tamper_on_cache_detected_at_serve_time() {
         .clone();
     // Root on the TSR host rewrites the cached sanitized package.
     let evil = w.upstream.blobs[&victim].clone(); // valid-looking bytes
-    w.repo.cache_mut().tamper_sanitized(&victim, evil);
+    w.repo.cache_mut().store_sanitized(&victim, evil);
     assert!(matches!(
         w.repo.serve_package(&victim),
         Err(CoreError::RollbackDetected(_))
@@ -224,7 +224,7 @@ fn mitm_cannot_forge_packages_for_the_os() {
     assert!(os.install(&forged).is_err());
 
     // The genuine sanitized package installs fine.
-    let (blob, _) = w.repo.serve_package("pkg00000").unwrap();
+    let blob = w.repo.serve_package("pkg00000").unwrap();
     os.install(&blob).unwrap();
 }
 
@@ -254,7 +254,7 @@ fn byzantine_minority_cannot_block_or_poison_end_to_end() {
     assert_eq!(w.repo.upstream_index().unwrap().snapshot, 2);
     // And everything served still verifies.
     for entry in w.repo.sanitized_index().unwrap().iter().take(5) {
-        let (blob, _) = w.repo.serve_package(&entry.name).unwrap();
+        let blob = w.repo.serve_package(&entry.name).unwrap();
         tsr::apk::Package::parse(&blob)
             .unwrap()
             .verify(w.repo.public_key())
