@@ -5,9 +5,10 @@
 //!
 //! - `image_of` — the only walk over *upstream index ×
 //!   package cache*;
-//! - `commit` — the only place state becomes durable: blobs
-//!   into the content-addressed store, then the `RepoCreated` /
-//!   `RefreshApplied` / `SealUpdated` records into the WAL;
+//! - `commit` — the only place state becomes durable: `RepoCreated`
+//!   for a new tenant, blobs into the content-addressed store, then one
+//!   `SealUpdated` record — the seal is the only durable copy of the
+//!   indexes, so a refresh is one WAL frame, all or nothing;
 //! - `install` — the only place a seal is installed: sealed
 //!   blob → TPM counter replay → unseal → package cache filled for the
 //!   hashes the *unsealed* indexes pin.
@@ -94,9 +95,9 @@ impl TsrService {
 
     /// Makes `image` durable (no-op without a store): logs the creation
     /// when the repository is new to this node, writes the blobs the
-    /// store does not hold yet, then logs the refresh and the seal. Runs
-    /// under the repository shard lock, before the state is observable;
-    /// lock order `repository → store`.
+    /// store does not hold yet, then logs the seal. Runs under the
+    /// repository shard lock, before the state is observable; lock order
+    /// `repository → store`.
     ///
     /// # Errors
     ///
@@ -110,20 +111,11 @@ impl TsrService {
             id: image.id.clone(),
             policy_text: image.policy_text.clone(),
         });
-        let mut sealed = Vec::new();
-        if !image.sealed.is_empty() {
-            sealed.push(WalRecord::RefreshApplied {
-                id: image.id.clone(),
-                upstream_index: image.upstream_index.clone(),
-                sanitized_index: image.sanitized_index.clone(),
-                packages: image.packages.clone(),
-            });
-            sealed.push(WalRecord::SealUpdated {
-                id: image.id.clone(),
-                sealed: image.sealed.clone(),
-                counter: image.seal_counter,
-            });
-        }
+        let sealed = (!image.sealed.is_empty()).then(|| WalRecord::SealUpdated {
+            id: image.id.clone(),
+            sealed: image.sealed.clone(),
+            counter: image.seal_counter,
+        });
         let mut eng = lock(store);
         if let Some(record) = &created {
             eng.append(record).map_err(store_err)?;
@@ -133,7 +125,7 @@ impl TsrService {
                 eng.put_blob(blob).map_err(store_err)?;
             }
         }
-        for record in &sealed {
+        if let Some(record) = &sealed {
             eng.append(record).map_err(store_err)?;
         }
         self.metrics().count_store(&eng);
@@ -153,9 +145,8 @@ impl TsrService {
     /// pinned in the *just-unsealed* indexes — each blob from `pushed`,
     /// else read (and verified) from the local blob store, which keeps no
     /// copy: the cache is the resident holder. Nothing the sender says
-    /// about which hash belongs to which package is used, and a WAL torn
-    /// between the refresh and seal records still recovers exactly the
-    /// state the seal describes (older blobs are never deleted).
+    /// about which hash belongs to which package is used: the seal is the
+    /// only durable copy of the indexes, locally as in a push.
     ///
     /// # Errors
     ///
@@ -570,39 +561,27 @@ mod tests {
         let (primary, _) = stored_service(&fs);
         let (id, _) = primary.create_repository(&policy_text()).unwrap();
         primary.refresh(&id).unwrap();
-        assert_eq!(
-            kinds(&fs),
-            ["repo_created", "refresh_applied", "seal_updated"]
-        );
-        // The records carry the image, field for field.
+        assert_eq!(kinds(&fs), ["repo_created", "seal_updated"]);
+        // The seal record carries the image's seal, field for field.
         let image = primary.export_replicated_state(&id).unwrap();
-        let log = wal(&fs);
         assert_eq!(
-            log[1..],
-            [
-                WalRecord::RefreshApplied {
-                    id: id.clone(),
-                    upstream_index: image.upstream_index.clone(),
-                    sanitized_index: image.sanitized_index.clone(),
-                    packages: image.packages.clone(),
-                },
-                WalRecord::SealUpdated {
-                    id: id.clone(),
-                    sealed: image.sealed.clone(),
-                    counter: image.seal_counter,
-                },
-            ]
+            wal(&fs)[1],
+            WalRecord::SealUpdated {
+                id: id.clone(),
+                sealed: image.sealed.clone(),
+                counter: image.seal_counter,
+            }
         );
 
-        // A replica logs the creation once, then the same pair per apply.
+        // A replica logs the creation once, then one seal per apply.
         let replica_fs = Arc::new(Mutex::new(SimFs::new()));
         let (replica, _) = stored_service(&replica_fs);
         replica.apply_replicated_state(&image).unwrap();
-        assert_eq!(wal(&replica_fs)[1..], log[1..]);
+        assert_eq!(wal(&replica_fs), wal(&fs));
         primary.refresh(&id).unwrap();
         let next = primary.export_replicated_state(&id).unwrap();
         replica.apply_replicated_state(&next).unwrap();
-        assert_eq!(kinds(&replica_fs), kinds(&fs));
-        assert_eq!(kinds(&fs).len(), 5);
+        assert_eq!(wal(&replica_fs), wal(&fs));
+        assert_eq!(kinds(&fs).len(), 3);
     }
 }

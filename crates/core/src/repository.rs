@@ -315,12 +315,14 @@ impl TsrRepository {
                 .and_then(|idx| idx.get(&entry.name))
                 .map(|e| e.content_hash != entry.content_hash)
                 .unwrap_or(true);
+            // A bit is unknown after `restore` (the seal carries none):
+            // such a package counts as touching accounts.
             let needs_account_refresh = universe_changed
                 && self
                     .touches_accounts
                     .get(&entry.name)
                     .copied()
-                    .unwrap_or(false);
+                    .unwrap_or(true);
             // A kept package keeps the hash the previous index pinned. The
             // cache (untrusted disk) is asked only whether a blob is there;
             // a blob that is not the pinned one is caught when served.
@@ -491,6 +493,10 @@ impl TsrRepository {
     /// Restores the metadata indexes after a restart, verifying the
     /// monotonic counter. The package cache is re-validated lazily on every
     /// [`Self::serve_package`].
+    ///
+    /// The universe fingerprint and the per-package touches-accounts bits
+    /// are not sealed, so the first refresh after a restore re-sanitizes
+    /// every kept package once.
     ///
     /// # Errors
     ///
@@ -745,6 +751,42 @@ mod tests {
         let body = pkg.scripts.post_install.unwrap();
         assert!(body.contains(" db\n"));
         assert!(body.contains(" www\n"));
+    }
+
+    #[test]
+    fn universe_change_after_restart_resanitizes_account_packages() {
+        let snapshot2 = || {
+            snapshot(
+                2,
+                &[
+                    ("plain", "1.0", None),
+                    (
+                        "websrv",
+                        "2.0",
+                        Some("adduser -S -D -H www\nmkdir -p /var/www"),
+                    ),
+                    ("badpkg", "0.1", Some("echo x >> /etc/evil.conf")),
+                    ("dbsrv", "1.0", Some("adduser -S -D -H db")),
+                ],
+            )
+        };
+        let served = |restart: bool| {
+            let mut w = World::new();
+            let mut repo = w.repo();
+            w.refresh(&mut repo).unwrap();
+            if restart {
+                repo.crash();
+                let enclave = w.cpu.load_enclave(b"tsr-enclave");
+                repo.restore(&enclave, &w.tpm).unwrap();
+            }
+            publish_to_all(&mut w.mirrors, &snapshot2());
+            w.refresh(&mut repo).unwrap();
+            (
+                repo.serve_index().unwrap(),
+                repo.serve_package("websrv").unwrap(),
+            )
+        };
+        assert_eq!(served(true), served(false), "restart changed the bytes");
     }
 
     #[test]

@@ -382,7 +382,6 @@ impl TsrService {
         match record {
             WalRecord::RepoCreated { .. } => "repo_created",
             WalRecord::RepoDeleted { .. } => "repo_deleted",
-            WalRecord::RefreshApplied { .. } => "refresh_applied",
             WalRecord::SealUpdated { .. } => "seal_updated",
         }
     }
@@ -764,7 +763,7 @@ pub(crate) mod tests {
         svc.refresh(&id).unwrap();
         let index = svc.fetch_index(&id).unwrap();
         let pkg = svc.fetch_package(&id, "tool").unwrap();
-        assert!(svc.event_counter("wal_appends").get() >= 3);
+        assert_eq!(svc.event_counter("wal_appends").get(), 2);
         drop(svc); // enclave crash: everything volatile is gone
 
         let (svc2, report2) = TsrService::with_store(
@@ -775,10 +774,10 @@ pub(crate) mod tests {
             sim_backend(&fs),
         )
         .unwrap();
-        assert_eq!(report2.replayed_records, 3, "create + refresh + seal");
+        assert_eq!(report2.replayed_records, 2, "create + seal");
         assert_eq!(svc2.fetch_index(&id).unwrap(), index, "byte-identical");
         assert_eq!(svc2.fetch_package(&id, "tool").unwrap(), pkg);
-        assert_eq!(svc2.event_counter("recovery_replayed_records").get(), 3);
+        assert_eq!(svc2.event_counter("recovery_replayed_records").get(), 2);
 
         // Recovered services keep allocating fresh ids.
         let (id2, _) = svc2.create_repository(&policy_text()).unwrap();
@@ -801,8 +800,7 @@ pub(crate) mod tests {
         let index = svc.fetch_index(&id).unwrap();
         drop(svc);
 
-        // Crash mid-append: tear the last WAL record (a second delete
-        // would start with these bytes; here we just chop the tail).
+        // Crash mid-append: tear the last WAL record, the refresh's seal.
         {
             let mut disk = fs.lock().unwrap();
             let wal = disk.read_file("/store/wal.log").unwrap().to_vec();
@@ -818,13 +816,10 @@ pub(crate) mod tests {
         )
         .unwrap();
         assert!(report.torn_bytes_discarded > 0);
-        assert_eq!(report.replayed_records, 2, "seal record torn away whole");
-        // The torn seal record leaves the previous consistent state: the
-        // repository exists but cannot unseal-restore... unless the
-        // refresh's sealed blob was in the torn record, in which case the
-        // repo recovers unrefreshed. Either way the service starts and
-        // the surviving records are intact.
+        assert_eq!(report.replayed_records, 1, "seal record torn away whole");
+        // The refresh is lost whole: the tenant recovers unrefreshed.
         assert!(svc2.repository_ids().contains(&id));
+        assert!(matches!(svc2.fetch_index(&id), Err(CoreError::NotFound(_))));
         // A fresh refresh converges back to the same served bytes.
         svc2.refresh(&id).unwrap();
         assert_eq!(svc2.fetch_index(&id).unwrap(), index);
@@ -992,10 +987,7 @@ pub(crate) mod tests {
             .filter(|e| e.kind == "wal_append")
             .map(|e| e.detail.as_str())
             .collect();
-        assert!(
-            kinds.contains(&"refresh_applied") && kinds.contains(&"seal_updated"),
-            "{kinds:?}"
-        );
+        assert_eq!(kinds, ["seal_updated"]);
         assert!(
             events
                 .iter()

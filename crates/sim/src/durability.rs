@@ -55,9 +55,8 @@ pub enum DurabilityEvent {
         /// Index into the live-tenant list.
         tenant: usize,
     },
-    /// Live tenant `tenant % live.len()` refreshes (`RefreshApplied`
-    /// followed by `SealUpdated` — two records, so a crash *between*
-    /// them is part of the swept surface).
+    /// Live tenant `tenant % live.len()` refreshes (one `SealUpdated`
+    /// record).
     Refresh {
         /// Index into the live-tenant list.
         tenant: usize,
@@ -494,7 +493,7 @@ pub fn durability_scenarios(seed: u64) -> Vec<DurabilityScenario> {
     use DurabilityEvent::{CreateTenant, DeleteTenant, PublishUpdate, Refresh};
     vec![
         // 1. One tenant across a full update cycle: every record kind
-        //    except RepoDeleted, with kills between refresh record pairs.
+        //    except RepoDeleted, with a kill after every refresh.
         DurabilityScenario {
             name: "single_tenant_update_cycle".into(),
             seed,

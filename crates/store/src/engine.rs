@@ -5,6 +5,11 @@
 //! stored under, every time. Who holds the bytes afterwards is the
 //! caller's business (`tsr-core`'s `PackageCache`).
 //!
+//! The metadata state is small: per repository, the policy text and the
+//! sealed blob with its TPM counter value. The seal is the only durable
+//! copy of a repository's indexes; the engine never sees them in the
+//! clear.
+//!
 //! On-"disk" layout (relative to the backend root):
 //!
 //! ```text
@@ -34,7 +39,7 @@ use crate::{StoreBackend, StoreError, WalRecord};
 const WAL_PATH: &str = "wal.log";
 const SNAPSHOT_PATH: &str = "snapshot.bin";
 const SNAPSHOT_TMP_PATH: &str = "snapshot.tmp";
-const SNAPSHOT_VERSION: u8 = 1;
+const SNAPSHOT_VERSION: u8 = 2;
 
 /// Snapshot cadence: fold the log into a snapshot after this many
 /// appended records. Low enough to keep replay short, high enough that
@@ -51,13 +56,6 @@ pub const BLOB_READ_CHUNK: usize = 64 * 1024;
 pub struct RepoState {
     /// The deployed policy document.
     pub policy_text: String,
-    /// Upstream index text from the last applied refresh (empty before
-    /// the first refresh).
-    pub upstream_index: String,
-    /// Sanitized index text from the last applied refresh.
-    pub sanitized_index: String,
-    /// Per-package `(name, original hash, sanitized hash)` blob refs.
-    pub packages: Vec<(String, String, String)>,
     /// The TPM-bound sealed metadata blob (empty before first seal).
     pub sealed: Vec<u8>,
     /// The monotonic-counter value bound into `sealed`.
@@ -82,16 +80,8 @@ impl StoreState {
         for (id, repo) in &self.repos {
             put_str(&mut out, id);
             put_str(&mut out, &repo.policy_text);
-            put_str(&mut out, &repo.upstream_index);
-            put_str(&mut out, &repo.sanitized_index);
             put_bytes(&mut out, &repo.sealed);
             out.extend_from_slice(&repo.seal_counter.to_le_bytes());
-            out.extend_from_slice(&(repo.packages.len() as u32).to_le_bytes());
-            for (name, ohash, shash) in &repo.packages {
-                put_str(&mut out, name);
-                put_str(&mut out, ohash);
-                put_str(&mut out, shash);
-            }
         }
         out
     }
@@ -111,27 +101,12 @@ impl StoreState {
         let mut repos = BTreeMap::new();
         for _ in 0..repo_count {
             let id = r.string()?;
-            let policy_text = r.string()?;
-            let upstream_index = r.string()?;
-            let sanitized_index = r.string()?;
-            let sealed = r.bytes()?;
-            let seal_counter = r.u64()?;
-            let pkg_count = r.u32()? as usize;
-            let mut packages = Vec::with_capacity(pkg_count.min(rest.len() / 12 + 1));
-            for _ in 0..pkg_count {
-                packages.push((r.string()?, r.string()?, r.string()?));
-            }
-            repos.insert(
-                id,
-                RepoState {
-                    policy_text,
-                    upstream_index,
-                    sanitized_index,
-                    packages,
-                    sealed,
-                    seal_counter,
-                },
-            );
+            let repo = RepoState {
+                policy_text: r.string()?,
+                sealed: r.bytes()?,
+                seal_counter: r.u64()?,
+            };
+            repos.insert(id, repo);
         }
         r.done()?;
         Ok(StoreState { next_id, repos })
@@ -156,18 +131,6 @@ impl StoreState {
             }
             WalRecord::RepoDeleted { id } => {
                 self.repos.remove(id);
-            }
-            WalRecord::RefreshApplied {
-                id,
-                upstream_index,
-                sanitized_index,
-                packages,
-            } => {
-                if let Some(repo) = self.repos.get_mut(id) {
-                    repo.upstream_index = upstream_index.clone();
-                    repo.sanitized_index = sanitized_index.clone();
-                    repo.packages = packages.clone();
-                }
             }
             WalRecord::SealUpdated {
                 id,
@@ -297,18 +260,6 @@ impl StoreEngine {
         self.counters
     }
 
-    /// Overrides the snapshot cadence (tests exercise snapshot + replay
-    /// interleavings with small values).
-    pub fn set_snapshot_every(&mut self, every: usize) {
-        self.snapshot_every = every.max(1);
-    }
-
-    /// The backend underneath (tests and fault injectors downcast via
-    /// [`StoreBackend::as_any`]).
-    pub fn backend(&self) -> &dyn StoreBackend {
-        &*self.backend
-    }
-
     /// Appends one record to the WAL — durable before the caller
     /// publishes the corresponding in-memory state — and folds a
     /// snapshot when the cadence is reached.
@@ -432,7 +383,7 @@ mod tests {
     }
 
     fn backend_as_mem(e: &StoreEngine) -> &MemBackend {
-        e.backend()
+        e.backend
             .as_any()
             .downcast_ref::<MemBackend>()
             .expect("test engines use MemBackend")
@@ -448,13 +399,6 @@ mod tests {
     fn append_replay_roundtrip() {
         let mut e = engine();
         e.append(&created(1)).unwrap();
-        e.append(&WalRecord::RefreshApplied {
-            id: "repo-1".into(),
-            upstream_index: "U".into(),
-            sanitized_index: "S".into(),
-            packages: vec![("a".into(), "h1".into(), "h2".into())],
-        })
-        .unwrap();
         e.append(&WalRecord::SealUpdated {
             id: "repo-1".into(),
             sealed: vec![9, 9],
@@ -464,18 +408,18 @@ mod tests {
 
         let (r, report) = reopen(&e);
         assert!(!report.snapshot_loaded);
-        assert_eq!(report.replayed_records, 3);
+        assert_eq!(report.replayed_records, 2);
         assert_eq!(r.state(), e.state());
         assert_eq!(r.state().next_id, 2);
         let repo = &r.state().repos["repo-1"];
-        assert_eq!(repo.sanitized_index, "S");
+        assert_eq!(repo.sealed, [9, 9]);
         assert_eq!(repo.seal_counter, 1);
     }
 
     #[test]
     fn snapshot_folds_log_and_recovery_uses_it() {
         let mut e = engine();
-        e.set_snapshot_every(2);
+        e.snapshot_every = 2;
         e.append(&created(1)).unwrap(); // 1 since snapshot
         e.append(&created(2)).unwrap(); // cadence hit: snapshot + truncate
         assert_eq!(e.counters().snapshot_writes, 1);
@@ -547,7 +491,7 @@ mod tests {
         // marker left in the file survives it.
         edit_file(&mut e, &blob_path(&h1), |f| f.push(b'!'));
         assert_eq!(e.put_blob(b"same bytes").unwrap(), h1);
-        assert_eq!(e.backend().read(&blob_path(&h1)).unwrap(), b"same bytes!");
+        assert_eq!(e.backend.read(&blob_path(&h1)).unwrap(), b"same bytes!");
     }
 
     #[test]
@@ -567,7 +511,7 @@ mod tests {
     #[test]
     fn counters_track_appends_and_snapshots() {
         let mut e = engine();
-        e.set_snapshot_every(3);
+        e.snapshot_every = 3;
         for n in 1..=4 {
             e.append(&created(n)).unwrap();
         }
@@ -577,5 +521,40 @@ mod tests {
         assert_eq!(c.snapshot_writes, 1);
         let (r, _) = reopen(&e);
         assert_eq!(r.counters().recovery_replayed_records, 1);
+    }
+
+    #[test]
+    fn retired_refresh_record_and_v1_snapshot_are_refused() {
+        let open_with = |path: &str, payload: &[u8]| {
+            let mut mem = MemBackend::default();
+            mem.write(path, &encode_frame(payload)).unwrap();
+            StoreEngine::open(Box::new(mem)).map(|_| ())
+        };
+        // A checksum-valid frame of the retired tag 3 (id, two index
+        // texts, zero package refs).
+        let mut tag3 = vec![3];
+        for field in ["repo-1", "U", "S"] {
+            put_str(&mut tag3, field);
+        }
+        tag3.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            open_with(WAL_PATH, &tag3),
+            Err(StoreError::Corrupt("unknown record tag 3".into()))
+        );
+        // A v1 snapshot: one repository with the index texts and package
+        // refs between its policy and its seal.
+        let mut v1 = vec![1];
+        v1.extend_from_slice(&2u64.to_le_bytes());
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        for field in ["repo-1", "policy", "U", "S"] {
+            put_str(&mut v1, field);
+        }
+        put_bytes(&mut v1, &[9, 9]);
+        v1.extend_from_slice(&1u64.to_le_bytes());
+        v1.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            open_with(SNAPSHOT_PATH, &v1),
+            Err(StoreError::Corrupt("snapshot version 1 unsupported".into()))
+        );
     }
 }

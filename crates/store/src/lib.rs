@@ -5,12 +5,13 @@
 //! snapshot + log-replay crash recovery.
 //!
 //! Every state mutation of the multi-tenant service — repository
-//! create/delete, refresh apply, TPM seal update — is appended to the log
-//! as a checksummed, length-prefixed [`WalRecord`] *before* the mutation
-//! is published to clients. Package bytes never travel through the log:
-//! they are written once into the blob store under their SHA-256 content
-//! hash (deduplicated across repositories and refreshes), and log records
-//! reference them by hash.
+//! create/delete, and the TPM-bound seal update that is a whole refresh —
+//! is appended to the log as a checksummed, length-prefixed [`WalRecord`]
+//! *before* the mutation is published to clients. The seal is the only
+//! durable copy of a repository's indexes. Package bytes never travel
+//! through the log: they are written once into the blob store under their
+//! SHA-256 content hash (deduplicated across repositories and refreshes),
+//! the hash the sealed indexes pin.
 //!
 //! Recovery ([`StoreEngine::open`]) loads the latest snapshot, then
 //! replays the log tail on top of it. A torn record at the end of the log

@@ -1,9 +1,10 @@
 //! Typed WAL records and their binary codec.
 //!
-//! One record per service-level state mutation. Records carry metadata
-//! only — index texts, policy text, content hashes, sealed blobs — never
-//! package bytes; those live in the content-addressed blob store and are
-//! referenced by hash.
+//! One record per service-level state mutation; a refresh is one
+//! [`WalRecord::SealUpdated`]. Records carry the policy text and the
+//! sealed metadata blob only: the seal is the one durable copy of a
+//! repository's indexes, and package bytes live in the content-addressed
+//! blob store under the hashes those indexes pin.
 //!
 //! The encoding is a tag byte followed by length-prefixed fields
 //! (`u32 LE` lengths, `u64 LE` integers), the same style as the sealed
@@ -28,20 +29,6 @@ pub enum WalRecord {
         /// Repository id.
         id: String,
     },
-    /// A refresh produced a new sanitized state. Blobs are referenced by
-    /// content hash into the blob store.
-    RefreshApplied {
-        /// Repository id.
-        id: String,
-        /// Upstream index text (what was sanitized).
-        upstream_index: String,
-        /// Sanitized index text (what the repository serves).
-        sanitized_index: String,
-        /// Per-package `(name, original blob hash, sanitized blob hash)`.
-        /// A package rejected by the sanitizer has an empty sanitized
-        /// hash.
-        packages: Vec<(String, String, String)>,
-    },
     /// The TPM-counter-bound sealed metadata blob was rewritten.
     SealUpdated {
         /// Repository id.
@@ -57,7 +44,8 @@ pub enum WalRecord {
 
 const TAG_REPO_CREATED: u8 = 1;
 const TAG_REPO_DELETED: u8 = 2;
-const TAG_REFRESH_APPLIED: u8 = 3;
+// Tag 3 (a plaintext copy of the index texts beside the seal) is retired
+// and decodes as an unknown tag.
 const TAG_SEAL_UPDATED: u8 = 4;
 
 pub(crate) fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -132,23 +120,6 @@ impl WalRecord {
                 out.push(TAG_REPO_DELETED);
                 put_str(&mut out, id);
             }
-            WalRecord::RefreshApplied {
-                id,
-                upstream_index,
-                sanitized_index,
-                packages,
-            } => {
-                out.push(TAG_REFRESH_APPLIED);
-                put_str(&mut out, id);
-                put_str(&mut out, upstream_index);
-                put_str(&mut out, sanitized_index);
-                out.extend_from_slice(&(packages.len() as u32).to_le_bytes());
-                for (name, ohash, shash) in packages {
-                    put_str(&mut out, name);
-                    put_str(&mut out, ohash);
-                    put_str(&mut out, shash);
-                }
-            }
             WalRecord::SealUpdated {
                 id,
                 sealed,
@@ -181,24 +152,6 @@ impl WalRecord {
                 policy_text: r.string()?,
             },
             TAG_REPO_DELETED => WalRecord::RepoDeleted { id: r.string()? },
-            TAG_REFRESH_APPLIED => {
-                let id = r.string()?;
-                let upstream_index = r.string()?;
-                let sanitized_index = r.string()?;
-                let count = r.u32()? as usize;
-                // Bound preallocation by the payload size, not the count
-                // field (a hostile count must not drive allocation).
-                let mut packages = Vec::with_capacity(count.min(rest.len() / 12 + 1));
-                for _ in 0..count {
-                    packages.push((r.string()?, r.string()?, r.string()?));
-                }
-                WalRecord::RefreshApplied {
-                    id,
-                    upstream_index,
-                    sanitized_index,
-                    packages,
-                }
-            }
             TAG_SEAL_UPDATED => WalRecord::SealUpdated {
                 id: r.string()?,
                 sealed: r.bytes()?,
@@ -208,16 +161,6 @@ impl WalRecord {
         };
         r.done()?;
         Ok(record)
-    }
-
-    /// The repository id the record concerns.
-    pub fn repo_id(&self) -> &str {
-        match self {
-            WalRecord::RepoCreated { id, .. }
-            | WalRecord::RepoDeleted { id }
-            | WalRecord::RefreshApplied { id, .. }
-            | WalRecord::SealUpdated { id, .. } => id,
-        }
     }
 }
 
@@ -233,15 +176,6 @@ mod tests {
             },
             WalRecord::RepoDeleted {
                 id: "repo-1".into(),
-            },
-            WalRecord::RefreshApplied {
-                id: "repo-2".into(),
-                upstream_index: "X:3\n".into(),
-                sanitized_index: "X:3\nP:a\n".into(),
-                packages: vec![
-                    ("a".into(), "aa".repeat(32), "bb".repeat(32)),
-                    ("rejected".into(), "cc".repeat(32), String::new()),
-                ],
             },
             WalRecord::SealUpdated {
                 id: "repo-2".into(),

@@ -13,8 +13,8 @@ use tsr_crypto::drbg::HmacDrbg;
 use tsr_store::{crc32, decode_frames, encode_frame, WalRecord, FRAME_HEADER_LEN};
 
 /// Seeds that exercised interesting shapes (empty logs, empty payloads,
-/// single-byte truncations on a frame boundary, multi-record logs with
-/// large refresh records) — kept forever as regressions.
+/// single-byte truncations on a frame boundary, multi-record logs)
+/// — kept forever as regressions.
 const REGRESSION_SEEDS: &[u64] = &[
     0,
     1,
@@ -34,7 +34,7 @@ fn string_from(rng: &mut HmacDrbg, max_len: u64) -> String {
 }
 
 fn record_from(rng: &mut HmacDrbg) -> WalRecord {
-    match rng.gen_range(4) {
+    match rng.gen_range(3) {
         0 => WalRecord::RepoCreated {
             id: format!("repo-{}", rng.gen_range(1000)),
             policy_text: string_from(rng, 200),
@@ -42,23 +42,6 @@ fn record_from(rng: &mut HmacDrbg) -> WalRecord {
         1 => WalRecord::RepoDeleted {
             id: format!("repo-{}", rng.gen_range(1000)),
         },
-        2 => {
-            let n = rng.gen_range(8) as usize;
-            WalRecord::RefreshApplied {
-                id: format!("repo-{}", rng.gen_range(1000)),
-                upstream_index: string_from(rng, 300),
-                sanitized_index: string_from(rng, 300),
-                packages: (0..n)
-                    .map(|_| {
-                        (
-                            string_from(rng, 20),
-                            string_from(rng, 64),
-                            string_from(rng, 64),
-                        )
-                    })
-                    .collect(),
-            }
-        }
         _ => {
             let sealed_len = rng.gen_range(128) as usize;
             WalRecord::SealUpdated {

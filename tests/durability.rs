@@ -10,9 +10,8 @@
 //! service: signed index bytes and every indexed package blob, for
 //! every tenant ever created (deleted tenants must stay deleted). A
 //! closing sweep truncates the WAL at evenly spaced offsets, including
-//! mid-frame and between the two records of one refresh; each cut must
-//! recover cleanly to one of the previously observed event-boundary
-//! states.
+//! mid-frame; each cut must recover cleanly to one of the previously
+//! observed event-boundary states.
 //!
 //! The seed defaults to a fixed value and can be overridden with
 //! `TSR_SCENARIO_SEED` (CI pins it so failures replay exactly). On
