@@ -42,7 +42,7 @@ fn main() {
     for &workers in &counts {
         let mut world = BenchWorld::new(scale(), b"ablation-par");
         let t = Instant::now();
-        let report = world.refresh_with_workers(workers);
+        let report = world.refresh(workers);
         let total = t.elapsed();
         let sanitize = report.sanitize_elapsed;
         let signed_index = world.repo.serve_index().expect("refreshed");

@@ -17,7 +17,7 @@ fn main() {
         "Sanitized cache ≈129× faster than None; Original cache ≈2.7× faster",
     );
     let mut world = BenchWorld::new(scale(), b"fig10");
-    world.refresh();
+    world.refresh(1);
     let names: Vec<String> = world
         .repo
         .sanitized_index()

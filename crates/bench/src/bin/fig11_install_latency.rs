@@ -16,7 +16,7 @@ fn main() {
         "TSR ≈141 ms vs plain mirror ≈110 ms (≈1.3×), gap = signature installation",
     );
     let mut world = BenchWorld::new(scale(), b"fig11");
-    world.refresh();
+    world.refresh(1);
 
     let configs: Vec<(String, String)> = initial_configs()
         .into_iter()

@@ -22,7 +22,7 @@ fn main() {
     let mut world = BenchWorld::new(scale(), b"fig12");
     let epc = world.scaled_epc();
     world.cpu.set_epc(epc);
-    let report = world.refresh();
+    let report = world.refresh(1);
     let recs = &report.sanitized;
 
     // "Outside SGX": the measured native time.

@@ -19,7 +19,7 @@ fn main() {
     let workers = workers_arg();
     println!("workers: {workers} (--workers N to override)");
     let mut world = BenchWorld::new(scale(), b"fig8");
-    let report = world.refresh_with_workers(workers);
+    let report = world.refresh(workers);
     let recs = &report.sanitized;
 
     let times_ms: Vec<f64> = recs
@@ -92,7 +92,7 @@ fn main() {
     let mut base: Option<f64> = None;
     for w in counts {
         let mut world = BenchWorld::new(scale(), b"fig8");
-        let sweep = world.refresh_with_workers(w);
+        let sweep = world.refresh(w);
         let secs = sweep.sanitize_elapsed.as_secs_f64();
         let speedup = base.get_or_insert(secs).max(1e-9) / secs.max(1e-9);
         println!(

@@ -13,7 +13,7 @@ fn main() {
         "P50 +12% / P75 +27% / P95 +76%; total repository +3.6%",
     );
     let mut world = BenchWorld::new(scale(), b"fig9");
-    let report = world.refresh();
+    let report = world.refresh(1);
     let recs = &report.sanitized;
 
     let overheads: Vec<f64> = recs.iter().map(|r| r.size_overhead_percent()).collect();

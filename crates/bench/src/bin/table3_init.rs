@@ -34,7 +34,7 @@ fn main() {
     };
     let _ = t_policy;
 
-    let report = world.refresh();
+    let report = world.refresh(1);
     let download = report.download_elapsed;
     let sanitize = report.sanitize_elapsed;
     let pessimistic_total = download + policy_time + sanitize;
@@ -42,7 +42,7 @@ fn main() {
     // Optimistic: originals already cached; only sanitization remains.
     // Re-trigger sanitization of everything by resetting the sanitized side.
     let mut world2 = BenchWorld::new(scale(), b"table3");
-    world2.refresh(); // warm: originals + sanitized cached
+    world2.refresh(1); // warm: originals + sanitized cached
     let names: Vec<String> = world2.upstream.blobs.keys().cloned().collect();
     let signers = world2.repo.policy().signer_keys_named();
     let sanitizer_time = {

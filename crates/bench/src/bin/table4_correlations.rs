@@ -11,7 +11,7 @@ fn main() {
         "archive/compress .46/.61; check-integrity −.62/−.93; signatures .69/.03; scripts −.27/−.33",
     );
     let mut world = BenchWorld::new(scale(), b"table4");
-    let report = world.refresh();
+    let report = world.refresh(1);
     let recs = &report.sanitized;
     println!("packages sanitized: {}", recs.len());
 

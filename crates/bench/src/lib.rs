@@ -142,33 +142,22 @@ impl BenchWorld {
         }
     }
 
-    /// Refreshes the TSR repository from the mirrors (sequentially).
+    /// Refreshes the TSR repository from the mirrors, with the
+    /// download/sanitize phases fanned out over `workers` threads, then
+    /// seals it.
     ///
     /// # Panics
     ///
     /// Panics when the refresh fails — benches require a healthy world.
-    pub fn refresh(&mut self) -> RefreshReport {
-        self.refresh_with_workers(1)
-    }
-
-    /// Refreshes the TSR repository with the download/sanitize phases
-    /// fanned out over `workers` threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the refresh fails — benches require a healthy world.
-    pub fn refresh_with_workers(&mut self, workers: usize) -> RefreshReport {
-        let enclave = self.cpu.load_enclave(ENCLAVE_CODE);
+    pub fn refresh(&mut self, workers: usize) -> RefreshReport {
+        let report = self
+            .repo
+            .refresh_unsealed(&self.mirrors, &self.model, &mut self.rng, workers)
+            .expect("bench refresh");
         self.repo
-            .refresh_parallel(
-                &self.mirrors,
-                &self.model,
-                &mut self.rng,
-                &enclave,
-                &mut self.tpm,
-                workers,
-            )
-            .expect("bench refresh")
+            .persist(&self.cpu.load_enclave(ENCLAVE_CODE), &mut self.tpm)
+            .expect("bench seal");
+        report
     }
 
     /// An EPC model scaled to the synthetic workload: the real 128 MB EPC
@@ -228,7 +217,7 @@ mod tests {
         // Tiny scale so the test is quick even with 2048-bit default keys.
         std::env::set_var("TSR_KEY_BITS", "1024");
         let mut w = BenchWorld::new(0.002, b"test-world");
-        let report = w.refresh();
+        let report = w.refresh(1);
         assert!(!report.sanitized.is_empty());
         assert!(w.repo.sanitized_index().is_some());
         std::env::remove_var("TSR_KEY_BITS");

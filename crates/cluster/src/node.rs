@@ -527,13 +527,6 @@ impl ClusterNode {
             .add(report.rejected as u64);
         report
     }
-
-    /// Simulates an enclave restart: [`TsrService::crash_restart`] — an
-    /// in-memory crash followed by an unseal of what the node already
-    /// holds. The durable store is not re-read.
-    pub fn restart(&self) -> Vec<(String, Result<(), CoreError>)> {
-        self.shared.service.crash_restart()
-    }
 }
 
 fn text_body(req: &Request) -> String {
@@ -772,7 +765,7 @@ mod tests {
         assert_eq!(resp.status, 200);
         assert_eq!(resp.headers.get("x-tsr-cluster-acks").unwrap(), "2");
         fx.cluster.restart(&dark);
-        let report = fx.replica(1).restart();
+        let report = fx.replica(1).service().crash_restart();
         assert!(report.iter().all(|(_, r)| r.is_ok()));
         let round = fx.replica(1).anti_entropy();
         assert_eq!(round.pulled, 1, "{:?}", round.rejections);

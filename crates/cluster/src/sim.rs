@@ -13,8 +13,9 @@
 //!
 //! 1. a refresh reports *committed* only when a majority of owner
 //!    ack-votes agree on the primary's index ETag,
-//! 2. a node restart recovers byte-identical repository state from its
-//!    durable store,
+//! 2. a node restart ([`TsrService::crash_restart`]) re-installs every
+//!    tenant from its durable store — seal, counter and package blobs —
+//!    and serves a byte-identical signed index,
 //! 3. every index a client accepts verifies against the repository key
 //!    (Byzantine-served bytes are rejected, never trusted),
 //! 4. after partitions heal and anti-entropy runs, all live honest
@@ -565,7 +566,7 @@ impl World {
         let i = self.resolve(sel)?;
         let id = self.nodes[i].info().id.clone();
         let before = self.nodes[i].service().fetch_index(&self.repo_id).ok();
-        let results = self.nodes[i].restart();
+        let results = self.nodes[i].service().crash_restart();
         for (repo, outcome) in &results {
             if let Err(e) = outcome {
                 return Err(format!("{id} failed to restore {repo}: {e}"));

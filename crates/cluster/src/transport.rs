@@ -143,8 +143,8 @@ impl LocalCluster {
         self.lock().crashed.insert(id.to_string());
     }
 
-    /// Clears the crash mark on `id`. The node object itself decides
-    /// what a restart recovers (see `ClusterNode::restart`).
+    /// Clears the crash mark on `id`. The node's service decides what a
+    /// restart recovers (see `TsrService::crash_restart`).
     pub fn restart(&self, id: &str) {
         self.lock().crashed.remove(id);
     }

@@ -10,12 +10,13 @@
 //!   `SealUpdated` record — the seal is the only durable copy of the
 //!   indexes, so a refresh is one WAL frame, all or nothing;
 //! - `install` — the only place a seal is installed: sealed
-//!   blob → TPM counter replay → unseal → package cache filled for the
-//!   hashes the *unsealed* indexes pin.
+//!   blob → TPM counter replay → unseal → package cache rebuilt for
+//!   exactly the hashes the *unsealed* indexes pin.
 //!
-//! A refresh is `commit(image_of(..))`; recovery is `install` from the
-//! store; [`TsrService::apply_replicated_state`] is vet → `commit` →
-//! `install`.
+//! A refresh is `commit(image_of(..))`; crash recovery
+//! ([`TsrService::with_store`]) and [`TsrService::crash_restart`] are one
+//! `restart`: the durable seal read, then `install`;
+//! [`TsrService::apply_replicated_state`] is vet → `commit` → `install`.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -25,7 +26,7 @@ use tsr_crypto::hex;
 use tsr_store::WalRecord;
 pub use tsr_wire::ReplicatedState;
 
-use crate::cache::SealedState;
+use crate::cache::{PackageCache, SealedState};
 use crate::error::CoreError;
 use crate::policy::Policy;
 use crate::repository::TsrRepository;
@@ -137,16 +138,48 @@ impl TsrService {
         Ok(())
     }
 
-    /// Installs a seal into `repo` (no-op for the empty seal of a
-    /// never-refreshed repository): sets the sealed blob, replays the TPM
+    /// Restarts `repo` from its durable seal: the one path shared by crash
+    /// recovery ([`TsrService::with_store`], on a freshly initialised
+    /// shard) and [`TsrService::crash_restart`]. The seal and its counter
+    /// are read from the store on a store-backed service, and from the
+    /// repository's own sealed disk and the TPM otherwise; the in-enclave
+    /// state is then dropped and the seal installed with nothing pushed.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::install`].
+    pub(crate) fn restart(&self, repo: &mut TsrRepository) -> Result<(), CoreError> {
+        let (sealed, counter) = match &self.shared.store {
+            Some(store) => lock(store)
+                .state()
+                .repos
+                .get(&repo.id)
+                .map(|durable| (durable.sealed.clone(), durable.seal_counter))
+                .unwrap_or_default(),
+            None => (
+                repo.sealed_disk().map(<[u8]>::to_vec).unwrap_or_default(),
+                self.seal_counter(repo)?,
+            ),
+        };
+        repo.crash();
+        self.install(repo, &sealed, counter, &[])
+    }
+
+    /// Installs a seal into `repo` (the empty seal of a never-refreshed
+    /// repository unseals nothing): sets the sealed blob, replays the TPM
     /// monotonic counter up to `counter` (a fresh counter starts at 0 and
     /// the unseal check requires hardware == sealed), unseals and
-    /// re-signs, then fills the package cache for the content hashes
-    /// pinned in the *just-unsealed* indexes — each blob from `pushed`,
-    /// else read (and verified) from the local blob store, which keeps no
-    /// copy: the cache is the resident holder. Nothing the sender says
-    /// about which hash belongs to which package is used: the seal is the
-    /// only durable copy of the indexes, locally as in a push.
+    /// re-signs, then rebuilds the package cache to hold exactly the
+    /// content hashes pinned in the *just-unsealed* indexes — each blob
+    /// from `pushed`, else read (and verified) from the local blob store,
+    /// which keeps no copy: the cache is the resident holder. Nothing the
+    /// sender says about which hash belongs to which package is used: the
+    /// seal is the only durable copy of the indexes, locally as in a push.
+    ///
+    /// A store-less service has no blob store to read back, so there the
+    /// entry the cache already holds under a pinned name is kept: the
+    /// paper's cache-on-disk, re-verified against the index on every
+    /// serve. That is the one difference between the two modes.
     ///
     /// # Errors
     ///
@@ -159,11 +192,8 @@ impl TsrService {
         counter: u64,
         pushed: &[(String, Arc<[u8]>)],
     ) -> Result<(), CoreError> {
-        if sealed.is_empty() {
-            return Ok(());
-        }
-        repo.set_sealed_disk(sealed.to_vec());
-        {
+        if !sealed.is_empty() {
+            repo.set_sealed_disk(sealed.to_vec());
             let mut tpm = lock(&self.shared.tpm);
             let cid = repo.counter_id();
             while tpm.read_counter(cid).map_err(seal_err)? < counter {
@@ -171,28 +201,33 @@ impl TsrService {
             }
             repo.restore(&self.enclave(), &tpm)?;
         }
-        let wanted: Vec<_> = pins(repo.upstream_index(), false)
-            .chain(pins(repo.sanitized_index(), true))
-            .collect();
         let pushed: BTreeMap<&str, &Arc<[u8]>> =
             pushed.iter().map(|(h, b)| (h.as_str(), b)).collect();
         let eng = self.shared.store.as_ref().map(lock);
-        for (name, hash, is_sanitized) in wanted {
+        let held = repo.cache();
+        let mut cache = PackageCache::new();
+        for (name, hash, is_sanitized) in
+            pins(repo.upstream_index(), false).chain(pins(repo.sanitized_index(), true))
+        {
             let blob = match (pushed.get(hash.as_str()), &eng) {
-                (Some(blob), _) => Arc::clone(blob),
+                (Some(blob), _) => Some(Arc::clone(blob)),
                 (None, Some(eng)) if eng.has_blob(&hash) => {
-                    eng.get_blob(&hash).map_err(store_err)?
+                    Some(eng.get_blob(&hash).map_err(store_err)?)
                 }
-                // Policy-excluded upstream entries were never downloaded;
-                // anything else missing re-downloads on the next refresh.
-                _ => continue,
+                (None, Some(_)) => None,
+                (None, None) if is_sanitized => held.sanitized(&name).cloned(),
+                (None, None) => held.original(&name).cloned(),
             };
+            // Policy-excluded upstream entries were never downloaded;
+            // anything else missing re-downloads on the next refresh.
+            let Some(blob) = blob else { continue };
             if is_sanitized {
-                repo.cache_mut().store_sanitized(&name, blob);
+                cache.store_sanitized(&name, blob);
             } else {
-                repo.cache_mut().store_original(&name, blob);
+                cache.store_original(&name, blob);
             }
         }
+        *repo.cache_mut() = cache;
         Ok(())
     }
 
@@ -517,10 +552,15 @@ mod tests {
         primary.refresh(&id).unwrap();
         let image = primary.export_replicated_state(&id).unwrap();
         let want = served(&primary, &id);
+        // One `install`, one outcome: an in-process crash-restart, a
+        // crash-recovered service and a fresh replica that applied the
+        // export are indistinguishable.
+        for (_, outcome) in primary.crash_restart() {
+            outcome.unwrap();
+        }
+        assert_eq!(served(&primary, &id), want);
         drop(primary);
 
-        // One `install`, one outcome: a crash-recovered service and a
-        // fresh replica that applied the export are indistinguishable.
         let (recovered, _) = stored_service(&fs);
         let replica = service();
         replica.apply_replicated_state(&image).unwrap();
@@ -528,6 +568,45 @@ mod tests {
         assert_eq!(served(&replica, &id), want);
         assert_eq!(recovered.export_replicated_state(&id).unwrap(), image);
         assert_eq!(replica.export_replicated_state(&id).unwrap(), image);
+    }
+
+    #[test]
+    fn a_store_backed_crash_restart_reads_the_blobs_back_from_the_store() {
+        let (svc, _) = stored_service(&Arc::new(Mutex::new(SimFs::new())));
+        let (id, _) = svc.create_repository(&policy_text()).unwrap();
+        svc.refresh(&id).unwrap();
+        let pkg = svc.fetch_package(&id, "tool").unwrap();
+        // No GET through `handle`, so the serve cache holds nothing.
+        let sanitized = |repo: &TsrRepository| Arc::clone(repo.cache().sanitized("tool").unwrap());
+        let before = Arc::downgrade(&svc.with_repository(&id, sanitized).unwrap());
+        for (_, outcome) in svc.crash_restart() {
+            outcome.unwrap();
+        }
+        assert!(before.upgrade().is_none(), "the pre-crash cache survived");
+        assert_eq!(svc.fetch_package(&id, "tool").unwrap(), pkg);
+    }
+
+    #[test]
+    fn a_replica_drops_the_packages_that_left_upstream() {
+        let primary = service();
+        let publish = |pkgs: &[(&str, &str)], id| {
+            primary.with_mirrors(|ms| tsr_mirror::publish_to_all(ms, &snapshot(id, pkgs)));
+        };
+        publish(&[("tool", "1.0"), ("extra", "1.0")], 2);
+        let (id, _) = primary.create_repository(&policy_text()).unwrap();
+        primary.refresh(&id).unwrap();
+        let replica = service();
+        replica
+            .apply_replicated_state(&primary.export_replicated_state(&id).unwrap())
+            .unwrap();
+        assert_eq!(served(&replica, &id).cache_entries, (2, 2));
+
+        publish(&[("tool", "1.0")], 3);
+        primary.refresh(&id).unwrap();
+        replica
+            .apply_replicated_state(&primary.export_replicated_state(&id).unwrap())
+            .unwrap();
+        assert_eq!(served(&replica, &id), served(&primary, &id));
     }
 
     #[test]
@@ -547,7 +626,7 @@ mod tests {
         assert_eq!(svc.handle(&get).status, 200);
         assert_eq!(old.strong_count(), 2, "package cache + serve cache");
 
-        svc.with_mirrors(|ms| tsr_mirror::publish_to_all(ms, &snapshot(2, "1.1")));
+        svc.with_mirrors(|ms| tsr_mirror::publish_to_all(ms, &snapshot(2, &[("tool", "1.1")])));
         svc.refresh(&id).unwrap();
         let new = svc.with_repository(&id, sanitized).unwrap();
         assert!(old.upgrade().is_none(), "the 1.0 blob is still resident");

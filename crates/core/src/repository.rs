@@ -157,60 +157,23 @@ impl TsrRepository {
 
     /// Refreshes the repository from the mirror fleet: quorum-reads the
     /// upstream index, downloads new/changed packages, sanitizes them, and
-    /// regenerates the signed sanitized index (§5.4). Runs the pipeline
-    /// sequentially; see [`Self::refresh_parallel`] for the multi-core
-    /// variant.
-    ///
-    /// # Errors
-    ///
-    /// Quorum failures, rollback detection (upstream snapshot went
-    /// backwards), or package decode failures.
-    pub fn refresh(
-        &mut self,
-        mirrors: &[Mirror],
-        model: &LatencyModel,
-        rng: &mut HmacDrbg,
-        enclave: &Enclave<'_>,
-        tpm: &mut Tpm,
-    ) -> Result<RefreshReport, CoreError> {
-        self.refresh_parallel(mirrors, model, rng, enclave, tpm, 1)
-    }
-
-    /// [`Self::refresh`] with the download and sanitization phases fanned
-    /// out over `workers` threads.
+    /// regenerates the signed sanitized index (§5.4). The download,
+    /// universe-scan and sanitization phases fan out over `workers`
+    /// threads.
     ///
     /// The signed index, cache contents, and [`RefreshReport`] are
     /// byte-identical for every worker count: work items are planned
     /// sequentially (including per-package RNG derivation), executed on a
     /// work-stealing pool, and their results applied back in input order.
     ///
-    /// # Errors
-    ///
-    /// Same as [`Self::refresh`].
-    pub fn refresh_parallel(
-        &mut self,
-        mirrors: &[Mirror],
-        model: &LatencyModel,
-        rng: &mut HmacDrbg,
-        enclave: &Enclave<'_>,
-        tpm: &mut Tpm,
-        workers: usize,
-    ) -> Result<RefreshReport, CoreError> {
-        let report = self.refresh_unsealed(mirrors, model, rng, workers)?;
-        self.persist(enclave, tpm)?;
-        Ok(report)
-    }
-
-    /// The refresh pipeline without the final sealing step.
-    ///
-    /// [`TsrService`](crate::TsrService) uses this to keep the TPM lock
-    /// out of the (long) download/sanitize phases: the service runs
-    /// `refresh_unsealed` holding only the repository's own lock, then
-    /// briefly takes the shared TPM to [`Self::persist`].
+    /// Sealing is a separate step, [`Self::persist`], so that a caller
+    /// sharing one TPM among tenants ([`TsrService`](crate::TsrService))
+    /// takes its lock only for that step.
     ///
     /// # Errors
     ///
-    /// Same as [`Self::refresh`].
+    /// Quorum failures, rollback detection (upstream snapshot went
+    /// backwards), or package decode failures.
     pub fn refresh_unsealed(
         &mut self,
         mirrors: &[Mirror],
@@ -649,14 +612,9 @@ mod tests {
         }
 
         fn refresh(&mut self, repo: &mut TsrRepository) -> Result<RefreshReport, CoreError> {
-            let enclave = self.cpu.load_enclave(b"tsr-enclave");
-            repo.refresh(
-                &self.mirrors,
-                &self.model,
-                &mut self.rng,
-                &enclave,
-                &mut self.tpm,
-            )
+            let report = repo.refresh_unsealed(&self.mirrors, &self.model, &mut self.rng, 1)?;
+            repo.persist(&self.cpu.load_enclave(b"tsr-enclave"), &mut self.tpm)?;
+            Ok(report)
         }
     }
 

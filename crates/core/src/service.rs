@@ -202,10 +202,11 @@ impl TsrService {
     /// Opens a service over a durable storage engine, running crash
     /// recovery: the engine replays its snapshot + write-ahead log, and
     /// every recovered repository is rebuilt — signing key re-derived
-    /// inside the enclave, then the durably recorded seal installed
-    /// (`install` in [`crate::replica`], with the blob store as the only
-    /// source of package bytes). The recovered signed index is
-    /// byte-identical to what was served before the crash.
+    /// inside the enclave, then restarted from the durably recorded seal
+    /// (`restart` in [`crate::replica`], the path [`Self::crash_restart`]
+    /// takes too, with the blob store as the only source of package
+    /// bytes). The recovered signed index is byte-identical to what was
+    /// served before the crash.
     ///
     /// An empty store yields a fresh service, so this is also the normal
     /// way to start a durable service. `seed` must match the seed of the
@@ -236,7 +237,7 @@ impl TsrService {
             .store(state.next_id.max(1), Ordering::Relaxed);
         for (id, durable) in &state.repos {
             let mut repo = svc.init_repo(id, Policy::parse(&durable.policy_text)?);
-            svc.install(&mut repo, &durable.sealed, durable.seal_counter, &[])?;
+            svc.restart(&mut repo)?;
             svc.shared.hot.publish(id, repo.signed_index_etag());
             svc.repos
                 .write()
@@ -514,18 +515,24 @@ impl TsrService {
     }
 
     /// Simulates an enclave crash followed by a restart on the *same*
-    /// hardware: every repository loses its volatile in-enclave state
-    /// (indexes, sanitizer, signed index) and recovers it from the
-    /// TPM-counter-bound sealed blob on the untrusted disk. The package
-    /// cache survives (it lives on disk and is re-verified lazily on every
-    /// serve); signing keys are re-derived deterministically inside the
-    /// enclave, so the restored signed index is byte-identical.
+    /// hardware, through the path crash recovery ([`Self::with_store`])
+    /// takes: every repository loses its volatile in-enclave state
+    /// (indexes, sanitizer, signed index), reads its durable
+    /// TPM-counter-bound seal back — from the store on a store-backed
+    /// service, from its own sealed disk otherwise — and installs it.
+    /// Signing keys are re-derived deterministically inside the enclave,
+    /// so the restored signed index is byte-identical.
     ///
-    /// Returns `(repository id, restore outcome)` per tenant. A tenant
-    /// that was never refreshed has no sealed state and reports
-    /// [`CoreError::SealedState`]; others must restore cleanly.
+    /// The package cache is rebuilt for exactly the hashes the unsealed
+    /// indexes pin. A store-backed service reads every blob back from the
+    /// store; a store-less one keeps what its cache holds under each
+    /// pinned name (the paper's cache-on-disk, re-verified on every
+    /// serve). That is the one difference between the two.
+    ///
+    /// Returns `(repository id, restart outcome)` per tenant. A tenant
+    /// that was never refreshed restarts cleanly and stays unrefreshed,
+    /// as in recovery.
     pub fn crash_restart(&self) -> Vec<(String, Result<(), CoreError>)> {
-        let enclave = self.enclave();
         let shards: Vec<(String, Arc<Mutex<TsrRepository>>)> = self
             .repos
             .read()
@@ -538,11 +545,7 @@ impl TsrService {
             .filter_map(|(id, shard)| {
                 // A tenant deleted since the listing has nothing to restart.
                 let mut repo = live(&shard).ok()?;
-                repo.crash();
-                // Lock order `repository → tpm` (see the struct docs).
-                let tpm = lock(&self.shared.tpm);
-                let outcome = repo.restore(&enclave, &tpm);
-                drop(tpm);
+                let outcome = self.restart(&mut repo);
                 self.shared.hot.publish(&id, repo.signed_index_etag());
                 Some((id, outcome))
             })
@@ -714,16 +717,21 @@ pub(crate) mod tests {
         )
     }
 
-    /// Upstream snapshot `id`: the one package `tool` at `version`.
-    pub(crate) fn snapshot(id: u64, version: &str) -> RepoSnapshot {
+    /// Upstream snapshot `id`: one package per `(name, version)`.
+    pub(crate) fn snapshot(id: u64, pkgs: &[(&str, &str)]) -> RepoSnapshot {
         let mut index = Index::new();
         index.snapshot = id;
         let mut packages = Map::new();
-        let mut b = PackageBuilder::new("tool", version);
-        b.file(Entry::file("usr/bin/tool", b"tool-bytes".to_vec()));
-        let blob = b.build(upstream_key(), "builder");
-        index.upsert(Index::entry_for_blob("tool", version, &[], &blob));
-        packages.insert("tool".to_string(), blob);
+        for &(name, version) in pkgs {
+            let mut b = PackageBuilder::new(name, version);
+            b.file(Entry::file(
+                format!("usr/bin/{name}"),
+                format!("{name}-bytes").into_bytes(),
+            ));
+            let blob = b.build(upstream_key(), "builder");
+            index.upsert(Index::entry_for_blob(name, version, &[], &blob));
+            packages.insert(name.to_string(), blob);
+        }
         RepoSnapshot {
             snapshot_id: id,
             signed_index: index.sign(upstream_key(), "builder"),
@@ -735,7 +743,7 @@ pub(crate) mod tests {
         let mut ms: Vec<Mirror> = (0..3)
             .map(|i| Mirror::new(format!("m{i}"), Continent::Europe))
             .collect();
-        publish_to_all(&mut ms, &snapshot(1, "1.0"));
+        publish_to_all(&mut ms, &snapshot(1, &[("tool", "1.0")]));
         ms
     }
 
@@ -930,12 +938,13 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn crash_restart_before_refresh_reports_missing_seal() {
+    fn crash_restart_before_refresh_leaves_the_tenant_unrefreshed() {
         let svc = service();
-        let (_, _) = svc.create_repository(&policy_text()).unwrap();
+        let (id, _) = svc.create_repository(&policy_text()).unwrap();
         let results = svc.crash_restart();
         assert_eq!(results.len(), 1);
-        assert!(matches!(results[0].1, Err(CoreError::SealedState(_))));
+        assert!(results[0].1.is_ok(), "{:?}", results[0].1);
+        assert!(matches!(svc.fetch_index(&id), Err(CoreError::NotFound(_))));
     }
 
     #[test]

@@ -458,35 +458,24 @@ impl Sim<'_> {
     }
 
     fn crash_restart(&mut self) -> Result<(), SimError> {
-        let before = self.last_index.clone();
         let results = self.service.crash_restart();
-        let restored = results.len();
-        for (id, outcome) in results {
-            match outcome {
-                Ok(()) => {}
-                Err(e) if before.is_empty() => {
-                    self.record(format!("crash-restart {id} no sealed state ({e})"));
-                    return Ok(());
-                }
-                Err(e) => {
-                    return Err(SimError::Invariant(format!(
-                        "repository {id} failed to restore after crash: {e}"
-                    )))
-                }
+        for (id, outcome) in &results {
+            if let Err(e) = outcome {
+                return Err(SimError::Invariant(format!(
+                    "repository {id} failed to restore after crash: {e}"
+                )));
             }
         }
-        if !before.is_empty() {
-            let after = self.service.fetch_index(&self.repo_id).map_err(|e| {
-                SimError::Invariant(format!("index unavailable after restart: {e}"))
-            })?;
-            if after != before {
-                return Err(SimError::Invariant(
-                    "signed index changed across crash-restart".into(),
-                ));
-            }
+        // A never-refreshed tenant serves no index, before or after.
+        let after = self.service.fetch_index(&self.repo_id).unwrap_or_default();
+        if after != self.last_index {
+            return Err(SimError::Invariant(
+                "signed index changed across crash-restart".into(),
+            ));
         }
         self.record(format!(
-            "crash-restart ok repos={restored} index_identical=true"
+            "crash-restart ok repos={} index_identical=true",
+            results.len()
         ));
         Ok(())
     }

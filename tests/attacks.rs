@@ -62,14 +62,12 @@ impl World {
     }
 
     fn refresh(&mut self) -> Result<tsr::core::RefreshReport, CoreError> {
-        let enclave = self.cpu.load_enclave(ENCLAVE);
-        self.repo.refresh(
-            &self.mirrors,
-            &self.model,
-            &mut self.rng,
-            &enclave,
-            &mut self.tpm,
-        )
+        let report = self
+            .repo
+            .refresh_unsealed(&self.mirrors, &self.model, &mut self.rng, 1)?;
+        self.repo
+            .persist(&self.cpu.load_enclave(ENCLAVE), &mut self.tpm)?;
+        Ok(report)
     }
 
     fn publish_update(&mut self, n: usize) -> Vec<String> {

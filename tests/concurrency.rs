@@ -187,8 +187,8 @@ fn concurrent_service_serves_bytes_identical_to_sequential() {
 
 #[test]
 fn repository_refresh_parallel_matches_sequential_bytes() {
-    // Below the service layer: TsrRepository::refresh_parallel at several
-    // worker counts produces the same signed index as workers = 1.
+    // Below the service layer: `refresh_unsealed` + `persist` at several
+    // worker counts produce the same signed index as workers = 1.
     use tsr::core::{Policy, TsrRepository};
     use tsr::sgx::Cpu;
     use tsr::tpm::Tpm;
@@ -204,8 +204,9 @@ fn repository_refresh_parallel_matches_sequential_bytes() {
         let enclave = cpu.load_enclave(b"conc-enclave");
         let mut repo = TsrRepository::init("r", policy.clone(), &enclave, &mut tpm, 1024);
         let mut rng = HmacDrbg::new(b"conc-rng");
-        repo.refresh_parallel(&ms, &model, &mut rng, &enclave, &mut tpm, workers)
+        repo.refresh_unsealed(&ms, &model, &mut rng, workers)
             .unwrap();
+        repo.persist(&enclave, &mut tpm).unwrap();
         repo.serve_index().unwrap()
     };
 
