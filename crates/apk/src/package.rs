@@ -43,22 +43,29 @@ pub struct Package {
     pub data_segment: Vec<u8>,
 }
 
-impl Package {
-    /// Parses a three-segment package blob.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PackageError`] when segments are missing or undecodable.
-    pub fn parse(blob: &[u8]) -> Result<Self, PackageError> {
-        let (sig_bytes, sig_len) = gzip::decompress_member(blob)?;
-        let rest = &blob[sig_len..];
-        let (control_bytes, control_len) = gzip::decompress_member(rest)?;
-        let control_segment = rest[..control_len].to_vec();
-        let data_segment = rest[control_len..].to_vec();
-        if data_segment.is_empty() {
+/// The signature and control segments of a package, parsed: everything
+/// [`Package::parse`] reads before the data segment.
+struct Head {
+    signer: String,
+    signature: Vec<u8>,
+    meta: PackageMeta,
+    scripts: InstallScripts,
+    /// Offset of the control segment in the blob.
+    control_start: usize,
+    /// Offset of the data segment in the blob (its non-empty tail).
+    data_start: usize,
+}
+
+impl Head {
+    /// Parses the first two segments of `blob` and checks that a data
+    /// segment follows them, without decompressing it.
+    fn parse(blob: &[u8]) -> Result<Self, PackageError> {
+        let (sig_bytes, control_start) = gzip::decompress_member(blob)?;
+        let (control_bytes, control_len) = gzip::decompress_member(&blob[control_start..])?;
+        let data_start = control_start + control_len;
+        if data_start == blob.len() {
             return Err(PackageError::Malformed("missing data segment".into()));
         }
-        let data_bytes = gzip::decompress(&data_segment)?;
 
         // Signature segment: exactly one .SIGN.RSA.<signer> file.
         let sig_archive = Archive::parse(&sig_bytes)?;
@@ -87,15 +94,48 @@ impl Package {
             pre_upgrade: script(".pre-upgrade"),
             post_upgrade: script(".post-upgrade"),
         };
-
-        let files = Archive::parse(&data_bytes)?.into_entries();
-        Ok(Package {
+        Ok(Head {
             signer,
             signature,
             meta,
             scripts,
+            control_start,
+            data_start,
+        })
+    }
+}
+
+/// Reads a package's installation scripts from its control segment alone:
+/// the signature and control segments are decompressed and parsed, the
+/// data segment is not touched. This is what the repository-wide
+/// user/group pre-pass needs, at a cost independent of the package size.
+///
+/// # Errors
+///
+/// Returns [`PackageError`] for every defect [`Package::parse`] finds
+/// before the data segment, a missing data segment included. A damaged
+/// data segment is not detected.
+pub fn read_scripts(blob: &[u8]) -> Result<InstallScripts, PackageError> {
+    Head::parse(blob).map(|head| head.scripts)
+}
+
+impl Package {
+    /// Parses a three-segment package blob.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PackageError`] when segments are missing or undecodable.
+    pub fn parse(blob: &[u8]) -> Result<Self, PackageError> {
+        let head = Head::parse(blob)?;
+        let data_segment = blob[head.data_start..].to_vec();
+        let files = Archive::parse(&gzip::decompress(&data_segment)?)?.into_entries();
+        Ok(Package {
+            signer: head.signer,
+            signature: head.signature,
+            meta: head.meta,
+            scripts: head.scripts,
             files,
-            control_segment,
+            control_segment: blob[head.control_start..head.data_start].to_vec(),
             data_segment,
         })
     }
@@ -441,6 +481,21 @@ mod tests {
             Package::parse(truncated),
             Err(PackageError::Malformed(_))
         ));
+        assert!(matches!(
+            read_scripts(truncated),
+            Err(PackageError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn read_scripts_skips_the_data_segment() {
+        let blob = sample_blob();
+        let pkg = Package::parse(&blob).unwrap();
+        // A data segment that is not gzip at all: only the full parse sees it.
+        let mut bad = blob[..blob.len() - pkg.data_segment.len()].to_vec();
+        bad.extend_from_slice(b"not gzip");
+        assert!(Package::parse(&bad).is_err());
+        assert_eq!(read_scripts(&bad).unwrap(), pkg.scripts);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use tsr_apk::{Index, IndexEntry, Package, PackageBuilder, PackageMeta};
+use tsr_apk::package::read_scripts;
+use tsr_apk::{Index, IndexEntry, InstallScripts, Package, PackageBuilder, PackageMeta};
 use tsr_archive::Entry;
 use tsr_crypto::drbg::HmacDrbg;
 use tsr_crypto::{hex, RsaPrivateKey};
@@ -177,6 +178,56 @@ fn meta_text_roundtrip_case(seed: u64) {
     assert_eq!(parsed, meta, "seed {seed}");
 }
 
+/// Property 5: the control-segment reader is an oracle-equal shortcut of
+/// the full parse. For a package carrying any subset of the four scripts,
+/// `read_scripts` returns exactly `Package::parse(..).scripts`; garbage,
+/// an empty blob and a blob cut right after the control segment are
+/// errors for both.
+fn read_scripts_matches_parse_case(seed: u64) {
+    let mut rng = HmacDrbg::new(&seed.to_be_bytes());
+    let name = name_from(&mut rng);
+    let mut builder = PackageBuilder::new(&name, version_from(&mut rng));
+    let subset = rng.gen_range(16);
+    let body = |i: u64| {
+        (i & subset != 0).then(|| format!("adduser -S u{i}-{name}\nmkdir -p /var/lib/{name}"))
+    };
+    builder.scripts(InstallScripts {
+        pre_install: body(1),
+        post_install: body(2),
+        pre_upgrade: body(4),
+        post_upgrade: body(8),
+    });
+    for f in 0..rng.gen_range(3) {
+        let len = 1 + rng.gen_range(256) as usize;
+        builder.file(Entry::file(
+            format!("usr/share/{name}/f{f}"),
+            rng.bytes(len),
+        ));
+    }
+    let blob = builder.build(signing_key(), "prop-builder");
+    let pkg = Package::parse(&blob).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    assert_eq!(pkg.scripts.iter().count(), subset.count_ones() as usize);
+    assert_eq!(
+        read_scripts(&blob).unwrap_or_else(|e| panic!("seed {seed}: {e}")),
+        pkg.scripts,
+        "seed {seed}"
+    );
+
+    let cut = &blob[..blob.len() - pkg.data_segment.len()];
+    let garbage_len = 1 + rng.gen_range(64) as usize;
+    let garbage = rng.bytes(garbage_len);
+    for (what, bad) in [("garbage", &garbage[..]), ("empty", &[][..]), ("cut", cut)] {
+        assert!(
+            Package::parse(bad).is_err(),
+            "seed {seed}: parse accepted {what}"
+        );
+        assert!(
+            read_scripts(bad).is_err(),
+            "seed {seed}: reader accepted {what}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -198,6 +249,11 @@ proptest! {
     #[test]
     fn meta_text_roundtrip(seed in any::<u64>()) {
         meta_text_roundtrip_case(seed);
+    }
+
+    #[test]
+    fn read_scripts_matches_parse(seed in any::<u64>()) {
+        read_scripts_matches_parse_case(seed);
     }
 }
 
@@ -226,5 +282,14 @@ fn package_meta_roundtrip_regressions() {
 fn meta_text_roundtrip_regressions() {
     for &seed in REGRESSION_SEEDS {
         meta_text_roundtrip_case(seed);
+    }
+}
+
+#[test]
+fn read_scripts_matches_parse_regressions() {
+    // 16 consecutive seeds on top of the shared ones, so every script
+    // subset is very likely drawn.
+    for seed in REGRESSION_SEEDS.iter().copied().chain(100..116) {
+        read_scripts_matches_parse_case(seed);
     }
 }

@@ -1,6 +1,7 @@
 //! A TSR repository instance: one client's logically separated, sanitized
 //! view of the upstream repository (paper §5.2–§5.5).
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,7 +20,7 @@ use crate::cache::{PackageCache, SealedState};
 use crate::error::CoreError;
 use crate::parallel::parallel_map_ordered;
 use crate::policy::Policy;
-use crate::sanitizer::{scan_universe_parallel, PackageSanitizer, SanitizeRecord};
+use crate::sanitizer::{scan_universe_with_accounts, PackageSanitizer, SanitizeRecord};
 
 /// Statistics of one repository refresh.
 #[derive(Debug, Clone, Default)]
@@ -57,14 +58,11 @@ pub struct TsrRepository {
     /// the blob per request). Empty ⟺ the signed index is empty.
     signed_index_etag: String,
     sanitizer: Option<PackageSanitizer>,
-    universe_fingerprint: String,
     counter_id: u32,
     /// Sealed state as last written to the untrusted disk.
     sealed_disk: Option<Vec<u8>>,
     /// Rejected packages (name → reason) from the last refresh.
     rejected: Vec<(String, String)>,
-    /// touches-accounts flag per sanitized package.
-    touches_accounts: std::collections::BTreeMap<String, bool>,
     /// Set by `TsrService::delete_repository` under the shard lock: a
     /// writer still holding the shard must not publish it again.
     pub(crate) deleted: bool,
@@ -102,11 +100,9 @@ impl TsrRepository {
             signed_sanitized_index: Vec::new(),
             signed_index_etag: String::new(),
             sanitizer: None,
-            universe_fingerprint: String::new(),
             counter_id,
             sealed_disk: None,
             rejected: Vec::new(),
-            touches_accounts: Default::default(),
             deleted: false,
         }
     }
@@ -157,9 +153,9 @@ impl TsrRepository {
 
     /// Refreshes the repository from the mirror fleet: quorum-reads the
     /// upstream index, downloads new/changed packages, sanitizes them, and
-    /// regenerates the signed sanitized index (§5.4). The download,
-    /// universe-scan and sanitization phases fan out over `workers`
-    /// threads.
+    /// regenerates the signed sanitized index (§5.4). The download and
+    /// sanitization phases fan out over `workers` threads; the universe
+    /// scan between them reads only control segments and runs serially.
     ///
     /// The signed index, cache contents, and [`RefreshReport`] are
     /// byte-identical for every worker count: work items are planned
@@ -229,28 +225,41 @@ impl TsrRepository {
             self.cache.store_original(name, blob);
         }
         // Drop cache entries for packages that disappeared upstream.
-        let keep: std::collections::BTreeSet<String> =
-            new_index.iter().map(|e| e.name.clone()).collect();
+        let keep: BTreeSet<String> = new_index.iter().map(|e| e.name.clone()).collect();
         self.cache.retain(|n| keep.contains(n));
-        self.touches_accounts.retain(|n, _| keep.contains(n));
 
-        // 4. Rebuild the user/group universe over the whole repository
-        //    (packages are parsed on the worker pool; the universe itself
-        //    is folded in index order, keeping id assignment stable).
-        let blobs: Vec<&[u8]> = new_index
+        // 4. Rebuild the user/group universe over the whole repository,
+        //    folded in index order to keep id assignment stable. Only
+        //    control segments are read; the same pass tells which
+        //    packages create accounts.
+        let cached: Vec<(&str, &[u8])> = new_index
             .iter()
-            .filter_map(|e| self.cache.original(&e.name).map(|b| &b[..]))
+            .filter_map(|e| {
+                let blob = self.cache.original(&e.name)?;
+                Some((e.name.as_str(), &blob[..]))
+            })
             .collect();
-        let universe = scan_universe_parallel(&blobs, workers);
-        drop(blobs);
-        let sanitizer = PackageSanitizer::new(
-            self.signing_key.clone(),
-            self.signer_name.clone(),
-            universe,
-            &self.policy,
-        );
-        let new_fingerprint = sanitizer.universe_fingerprint();
-        let universe_changed = new_fingerprint != self.universe_fingerprint;
+        let (universe, touches) = scan_universe_with_accounts(cached.iter().map(|(_, b)| *b));
+        let touches_accounts: BTreeSet<&str> = cached
+            .iter()
+            .zip(touches)
+            .filter_map(|(&(name, _), touches)| touches.then_some(name))
+            .collect();
+        drop(cached);
+        let sanitizer = match &self.sanitizer {
+            Some(prev) => prev.successor(universe, &self.policy),
+            None => PackageSanitizer::new(
+                self.signing_key.clone(),
+                self.signer_name.clone(),
+                universe,
+                &self.policy,
+            ),
+        };
+        let universe_changed = self
+            .sanitizer
+            .as_ref()
+            .map(PackageSanitizer::universe_fingerprint)
+            != Some(sanitizer.universe_fingerprint());
 
         // 5. Sanitize new/changed packages; re-sanitize account-touching
         //    packages when the universe changed (their preambles and config
@@ -278,14 +287,8 @@ impl TsrRepository {
                 .and_then(|idx| idx.get(&entry.name))
                 .map(|e| e.content_hash != entry.content_hash)
                 .unwrap_or(true);
-            // A bit is unknown after `restore` (the seal carries none):
-            // such a package counts as touching accounts.
-            let needs_account_refresh = universe_changed
-                && self
-                    .touches_accounts
-                    .get(&entry.name)
-                    .copied()
-                    .unwrap_or(true);
+            let needs_account_refresh =
+                universe_changed && touches_accounts.contains(entry.name.as_str());
             // A kept package keeps the hash the previous index pinned. The
             // cache (untrusted disk) is asked only whether a blob is there;
             // a blob that is not the pinned one is caught when served.
@@ -316,8 +319,6 @@ impl TsrRepository {
         for ((name, version, depends), result) in meta.into_iter().zip(results) {
             match result {
                 Ok((blob, record)) => {
-                    self.touches_accounts
-                        .insert(name.clone(), record.touches_accounts);
                     sanitized_index.upsert(Index::entry_for_blob(&name, &version, &depends, &blob));
                     self.cache.store_sanitized(&name, blob);
                     report.sanitized.push(record);
@@ -338,7 +339,6 @@ impl TsrRepository {
         self.upstream_index = Some(new_index);
         self.sanitized_index = Some(sanitized_index);
         self.sanitizer = Some(sanitizer);
-        self.universe_fingerprint = new_fingerprint;
         Ok(report)
     }
 
@@ -448,8 +448,6 @@ impl TsrRepository {
         self.signed_sanitized_index.clear();
         self.signed_index_etag.clear();
         self.sanitizer = None;
-        self.universe_fingerprint.clear();
-        self.touches_accounts.clear();
         self.rejected.clear();
     }
 
@@ -457,9 +455,9 @@ impl TsrRepository {
     /// monotonic counter. The package cache is re-validated lazily on every
     /// [`Self::serve_package`].
     ///
-    /// The universe fingerprint and the per-package touches-accounts bits
-    /// are not sealed, so the first refresh after a restore re-sanitizes
-    /// every kept package once.
+    /// The sanitizer and so its universe fingerprint are not sealed, so
+    /// the first refresh after a restore re-sanitizes the kept packages whose scripts create
+    /// accounts once; every other kept package stays as the seal pins it.
     ///
     /// # Errors
     ///
@@ -567,6 +565,24 @@ mod tests {
             signed_index: index.sign(upstream_key(), "builder"),
             packages,
         }
+    }
+
+    /// Snapshot 2 of [`World`]: adds a package creating a NEW user, so the
+    /// universe changes.
+    fn snapshot_adding_dbsrv() -> RepoSnapshot {
+        snapshot(
+            2,
+            &[
+                ("plain", "1.0", None),
+                (
+                    "websrv",
+                    "2.0",
+                    Some("adduser -S -D -H www\nmkdir -p /var/www"),
+                ),
+                ("badpkg", "0.1", Some("echo x >> /etc/evil.conf")),
+                ("dbsrv", "1.0", Some("adduser -S -D -H db")),
+            ],
+        )
     }
 
     struct World {
@@ -678,23 +694,7 @@ mod tests {
         let mut w = World::new();
         let mut repo = w.repo();
         w.refresh(&mut repo).unwrap();
-        // Snapshot 2 adds a package creating a NEW user → universe changes.
-        publish_to_all(
-            &mut w.mirrors,
-            &snapshot(
-                2,
-                &[
-                    ("plain", "1.0", None),
-                    (
-                        "websrv",
-                        "2.0",
-                        Some("adduser -S -D -H www\nmkdir -p /var/www"),
-                    ),
-                    ("badpkg", "0.1", Some("echo x >> /etc/evil.conf")),
-                    ("dbsrv", "1.0", Some("adduser -S -D -H db")),
-                ],
-            ),
-        );
+        publish_to_all(&mut w.mirrors, &snapshot_adding_dbsrv());
         let report = w.refresh(&mut repo).unwrap();
         let names: Vec<&str> = report.sanitized.iter().map(|r| r.name.as_str()).collect();
         assert!(names.contains(&"dbsrv"));
@@ -745,6 +745,22 @@ mod tests {
             )
         };
         assert_eq!(served(true), served(false), "restart changed the bytes");
+    }
+
+    #[test]
+    fn the_first_refresh_after_a_restart_resanitizes_only_account_packages() {
+        let mut w = World::new();
+        let mut repo = w.repo();
+        w.refresh(&mut repo).unwrap();
+        repo.crash();
+        let enclave = w.cpu.load_enclave(b"tsr-enclave");
+        repo.restore(&enclave, &w.tpm).unwrap();
+        publish_to_all(&mut w.mirrors, &snapshot_adding_dbsrv());
+        let report = w.refresh(&mut repo).unwrap();
+        let names: Vec<&str> = report.sanitized.iter().map(|r| r.name.as_str()).collect();
+        assert!(names.contains(&"websrv"), "{names:?}");
+        assert!(names.contains(&"dbsrv"), "{names:?}");
+        assert!(!names.contains(&"plain"), "plain is kept: {names:?}");
     }
 
     #[test]

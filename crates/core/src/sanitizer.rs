@@ -19,12 +19,12 @@
 
 use std::time::{Duration, Instant};
 
-use tsr_apk::package::build_from_parts;
+use tsr_apk::package::{build_from_parts, read_scripts};
 use tsr_apk::Package;
 #[cfg(test)]
 use tsr_apk::PackageError;
 use tsr_crypto::{hex, RsaPrivateKey, RsaPublicKey, Sha256};
-use tsr_script::sanitize::{append_signature_commands, sanitize_script};
+use tsr_script::sanitize::{append_signature_commands, creates_accounts, sanitize_script};
 use tsr_script::UserGroupUniverse;
 
 use crate::error::CoreError;
@@ -114,6 +114,32 @@ impl PackageSanitizer {
         universe: UserGroupUniverse,
         policy: &Policy,
     ) -> Self {
+        Self::build(signing_key, signer_name.into(), universe, policy, &[])
+    }
+
+    /// The sanitizer of the next refresh: same key and signer, a new
+    /// `universe`. A predicted configuration file whose content did not
+    /// change keeps its signature instead of being signed again; PKCS#1
+    /// v1.5 is deterministic, so the bytes equal a fresh signature's.
+    pub(crate) fn successor(&self, universe: UserGroupUniverse, policy: &Policy) -> Self {
+        Self::build(
+            self.signing_key.clone(),
+            self.signer_name.clone(),
+            universe,
+            policy,
+            &self.predicted_configs,
+        )
+    }
+
+    /// Predicts `/etc/{passwd,group,shadow}` and signs each content that
+    /// `reusable` does not already carry a signature for.
+    fn build(
+        signing_key: RsaPrivateKey,
+        signer_name: String,
+        universe: UserGroupUniverse,
+        policy: &Policy,
+        reusable: &[(String, String, String)],
+    ) -> Self {
         let predicted = [
             (
                 "/etc/passwd",
@@ -131,13 +157,18 @@ impl PackageSanitizer {
         let predicted_configs = predicted
             .into_iter()
             .map(|(path, content)| {
-                let sig = signing_key.sign_pkcs1_sha256(&Sha256::digest(content.as_bytes()));
-                (path.to_string(), content, hex::to_hex(&sig))
+                let sig = match reusable.iter().find(|(p, c, _)| p == path && *c == content) {
+                    Some((_, _, sig)) => sig.clone(),
+                    None => hex::to_hex(
+                        &signing_key.sign_pkcs1_sha256(&Sha256::digest(content.as_bytes())),
+                    ),
+                };
+                (path.to_string(), content, sig)
             })
             .collect();
         PackageSanitizer {
             signing_key,
-            signer_name: signer_name.into(),
+            signer_name,
             universe,
             predicted_configs,
         }
@@ -290,49 +321,34 @@ impl PackageSanitizer {
 /// Scans every package's scripts to build the repository-wide universe
 /// (the repository pre-pass of §4.2).
 ///
-/// Unparseable blobs are skipped — they will fail later during their own
-/// sanitization with a precise error.
+/// Only the control segments are read ([`read_scripts`]). Unreadable
+/// blobs are skipped — they will fail later during their own sanitization
+/// with a precise error.
 pub fn scan_universe<'a>(blobs: impl Iterator<Item = &'a [u8]>) -> UserGroupUniverse {
-    let mut universe = UserGroupUniverse::new();
-    for blob in blobs {
-        if let Ok(pkg) = Package::parse(blob) {
-            for (_, body) in pkg.scripts.iter() {
-                universe.scan_script(body);
-            }
-        }
-    }
-    universe.assign_ids();
-    universe
+    scan_universe_with_accounts(blobs).0
 }
 
-/// [`scan_universe`] with package parsing fanned out over `workers`
-/// threads.
-///
-/// Parsing (decompression + tar walk) dominates the pre-pass, so it runs
-/// on the worker pool; the extracted script bodies are then folded into
-/// the universe **in input order**, which keeps user/group id assignment —
-/// and therefore every downstream signature — independent of the worker
-/// count.
-pub fn scan_universe_parallel(blobs: &[&[u8]], workers: usize) -> UserGroupUniverse {
-    let scripts: Vec<Vec<String>> =
-        crate::parallel::parallel_map_ordered(blobs, workers, |_, blob| {
-            match Package::parse(blob) {
-                Ok(pkg) => pkg
-                    .scripts
-                    .iter()
-                    .map(|(_, body)| body.to_string())
-                    .collect(),
-                Err(_) => Vec::new(),
-            }
-        });
+/// [`scan_universe`], also answering per blob, in input order, whether its
+/// scripts create users or groups ([`creates_accounts`]): exactly the
+/// packages whose sanitized bytes depend on the universe. Scripts are
+/// folded in input order, which keeps uid/gid assignment stable.
+pub(crate) fn scan_universe_with_accounts<'a>(
+    blobs: impl Iterator<Item = &'a [u8]>,
+) -> (UserGroupUniverse, Vec<bool>) {
     let mut universe = UserGroupUniverse::new();
-    for bodies in &scripts {
-        for body in bodies {
-            universe.scan_script(body);
-        }
-    }
+    let touches_accounts = blobs
+        .map(|blob| {
+            let Ok(scripts) = read_scripts(blob) else {
+                return false;
+            };
+            scripts.iter().fold(false, |touches, (_, body)| {
+                universe.scan_script(body);
+                touches | creates_accounts(body)
+            })
+        })
+        .collect();
     universe.assign_ids();
-    universe
+    (universe, touches_accounts)
 }
 
 #[cfg(test)]
@@ -396,13 +412,17 @@ mod tests {
         b.build(upstream_key(), "builder")
     }
 
-    fn sanitizer_for(scripts: &[&str]) -> PackageSanitizer {
+    fn universe_of(scripts: &[&str]) -> UserGroupUniverse {
         let mut universe = UserGroupUniverse::new();
         for s in scripts {
             universe.scan_script(s);
         }
         universe.assign_ids();
-        PackageSanitizer::new(tsr_key(), "tsr-repo", universe, &policy())
+        universe
+    }
+
+    fn sanitizer_for(scripts: &[&str]) -> PackageSanitizer {
+        PackageSanitizer::new(tsr_key(), "tsr-repo", universe_of(scripts), &policy())
     }
 
     #[test]
@@ -532,6 +552,75 @@ mod tests {
         let p2 = build_pkg("b", Some("adduser -S bob"), 1);
         let u = scan_universe([p1.as_slice(), p2.as_slice()].into_iter());
         assert_eq!(u.user_count(), 2);
+    }
+
+    #[test]
+    fn scan_matches_a_fold_over_full_parses_of_a_workload_upstream() {
+        use tsr_workload::{Census, GeneratedRepo, WorkloadConfig};
+        let upstream = GeneratedRepo::generate(WorkloadConfig {
+            census: Census::default().scaled(0.004),
+            include_cve_pattern: true,
+            ..WorkloadConfig::default()
+        });
+        let blobs: Vec<&[u8]> = upstream.blobs.values().map(Vec::as_slice).collect();
+
+        // The oracle: the pre-pass as a fold over full three-segment parses.
+        let mut oracle = UserGroupUniverse::new();
+        for blob in &blobs {
+            if let Ok(pkg) = Package::parse(blob) {
+                for (_, body) in pkg.scripts.iter() {
+                    oracle.scan_script(body);
+                }
+            }
+        }
+        oracle.assign_ids();
+        assert!(!oracle.findings().is_empty(), "the CVE pattern is scanned");
+
+        assert_eq!(scan_universe(blobs.iter().copied()), oracle);
+        let (universe, touches) = scan_universe_with_accounts(blobs.iter().copied());
+        assert_eq!(universe, oracle);
+        let sanitizer = PackageSanitizer::new(tsr_key(), "tsr-repo", universe, &policy());
+        let from_oracle = PackageSanitizer::new(tsr_key(), "tsr-repo", oracle, &policy());
+        assert_eq!(
+            sanitizer.universe_fingerprint(),
+            from_oracle.universe_fingerprint()
+        );
+
+        // The scan's bit is the one sanitization reports, package by package.
+        let trusted = vec![(
+            upstream.signer_name.clone(),
+            upstream.signing_key.public_key().clone(),
+        )];
+        let (mut accepted, mut touching) = (0, 0);
+        for (blob, &bit) in blobs.iter().zip(&touches) {
+            match sanitizer.sanitize(blob, &trusted) {
+                Ok((_, record)) => {
+                    assert_eq!(record.touches_accounts, bit, "{}", record.name);
+                    accepted += 1;
+                    touching += usize::from(bit);
+                }
+                Err(CoreError::Unsupported(_)) => {}
+                Err(e) => panic!("workload package failed to sanitize: {e}"),
+            }
+        }
+        assert!(0 < touching && touching < accepted, "{touching}/{accepted}");
+    }
+
+    #[test]
+    fn a_successor_predicts_and_signs_like_a_fresh_sanitizer() {
+        let base = ["adduser -S www"];
+        let prev = sanitizer_for(&base);
+        for scripts in [
+            &base[..],
+            &["adduser -S www", "addgroup -S extra"][..],
+            &["adduser -S www", "adduser -S db"][..],
+        ] {
+            let next = prev.successor(universe_of(scripts), &policy());
+            let fresh = sanitizer_for(scripts);
+            assert_eq!(next.predicted_configs(), fresh.predicted_configs());
+            assert_eq!(next.universe(), fresh.universe());
+            assert_eq!(next.public_key(), fresh.public_key());
+        }
     }
 
     #[test]

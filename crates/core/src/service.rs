@@ -252,7 +252,7 @@ impl TsrService {
     }
 
     /// Sets the worker count used for the parallel phases of
-    /// [`Self::refresh`] (downloads, universe scan, sanitization).
+    /// [`Self::refresh`] (downloads and sanitization).
     ///
     /// The served bytes are identical for every worker count; only the
     /// wall-clock time changes.

@@ -81,7 +81,7 @@ pub fn sanitize_script(
     universe: &UserGroupUniverse,
 ) -> Result<SanitizedScript, Unsupported> {
     // Pass 1: reject unsupported operations, collect empty-file targets.
-    let mut touches_accounts = false;
+    let touches_accounts = creates_accounts(script);
     let mut created_empty_files = Vec::new();
     for cmd in parse_commands(script) {
         let kind = classify_command(&cmd);
@@ -94,7 +94,6 @@ pub fn sanitize_script(
                     command: cmd.argv.join(" "),
                 });
             }
-            OperationKind::UserGroupCreation => touches_accounts = true,
             OperationKind::EmptyFileCreation => {
                 if cmd.name() == Some("touch") {
                     for p in cmd.positional_args(&[]) {
@@ -118,7 +117,7 @@ pub fn sanitize_script(
         body.push_str(&universe.canonical_preamble());
     }
     for line in script.lines() {
-        if line_creates_accounts(line) {
+        if creates_accounts(line) {
             body.push_str(&format!("# tsr: removed `{}`\n", line.trim()));
         } else {
             body.push_str(line);
@@ -132,9 +131,11 @@ pub fn sanitize_script(
     })
 }
 
-/// True when any command on the line creates users or groups.
-fn line_creates_accounts(line: &str) -> bool {
-    parse_commands(line)
+/// True when any command of `script` creates users or groups: the
+/// predicate that decides whether a sanitized script carries the canonical
+/// preamble, and so whether its package depends on the universe.
+pub fn creates_accounts(script: &str) -> bool {
+    parse_commands(script)
         .iter()
         .any(|c| classify_command(c) == OperationKind::UserGroupCreation)
 }
