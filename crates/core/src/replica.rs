@@ -194,27 +194,37 @@ impl TsrService {
     ) -> Result<(), CoreError> {
         if !sealed.is_empty() {
             repo.set_sealed_disk(sealed.to_vec());
-            let mut tpm = lock(&self.shared.tpm);
-            let cid = repo.counter_id();
-            while tpm.read_counter(cid).map_err(seal_err)? < counter {
-                tpm.increment_counter(cid).map_err(seal_err)?;
-            }
-            repo.restore(&self.enclave(), &tpm)?;
+            // The TPM lock covers the counter replay and the unseal check
+            // only; the re-sign runs after it is released.
+            let state = {
+                let mut tpm = lock(&self.shared.tpm);
+                let cid = repo.counter_id();
+                while tpm.read_counter(cid).map_err(seal_err)? < counter {
+                    tpm.increment_counter(cid).map_err(seal_err)?;
+                }
+                repo.unseal(&self.enclave(), &tpm)?
+            };
+            repo.restore_unsealed(state)?;
         }
         let pushed: BTreeMap<&str, &Arc<[u8]>> =
             pushed.iter().map(|(h, b)| (h.as_str(), b)).collect();
-        let eng = self.shared.store.as_ref().map(lock);
         let held = repo.cache();
         let mut cache = PackageCache::new();
         for (name, hash, is_sanitized) in
             pins(repo.upstream_index(), false).chain(pins(repo.sanitized_index(), true))
         {
-            let blob = match (pushed.get(hash.as_str()), &eng) {
+            let blob = match (pushed.get(hash.as_str()), &self.shared.store) {
                 (Some(blob), _) => Some(Arc::clone(blob)),
-                (None, Some(eng)) if eng.has_blob(&hash) => {
-                    Some(eng.get_blob(&hash).map_err(store_err)?)
+                // One store-lock hold per blob, so other tenants' commits
+                // and seal reads interleave with a long cache rebuild.
+                (None, Some(store)) => {
+                    let eng = lock(store);
+                    if eng.has_blob(&hash) {
+                        Some(eng.get_blob(&hash).map_err(store_err)?)
+                    } else {
+                        None
+                    }
                 }
-                (None, Some(_)) => None,
                 (None, None) if is_sanitized => held.sanitized(&name).cloned(),
                 (None, None) => held.original(&name).cloned(),
             };

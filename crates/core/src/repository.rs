@@ -83,11 +83,23 @@ impl TsrRepository {
         tpm: &mut Tpm,
         key_bits: usize,
     ) -> Self {
-        let id = id.into();
+        let counter_id = tpm.create_counter();
+        Self::with_counter(id.into(), policy, enclave, counter_id, key_bits)
+    }
+
+    /// [`Self::init`] over a TPM counter the caller already created: the
+    /// key generation needs the enclave, not the TPM, so it runs with no
+    /// TPM lock held.
+    pub(crate) fn with_counter(
+        id: String,
+        policy: Policy,
+        enclave: &Enclave<'_>,
+        counter_id: u32,
+        key_bits: usize,
+    ) -> Self {
         let seed = enclave.derive_seed(format!("tsr-repo-key:{id}").as_bytes());
         let mut rng = HmacDrbg::new(&seed);
         let signing_key = RsaPrivateKey::generate(key_bits, &mut rng);
-        let counter_id = tpm.create_counter();
         let signer_name = format!("tsr-{id}");
         TsrRepository {
             id,
@@ -463,11 +475,27 @@ impl TsrRepository {
     ///
     /// [`CoreError::SealedState`] / [`CoreError::RollbackDetected`].
     pub fn restore(&mut self, enclave: &Enclave<'_>, tpm: &Tpm) -> Result<(), CoreError> {
+        let state = self.unseal(enclave, tpm)?;
+        self.restore_unsealed(state)
+    }
+
+    /// The half of [`Self::restore`] that needs the TPM: unseals the
+    /// sealed disk and checks it against the hardware counter.
+    pub(crate) fn unseal(
+        &self,
+        enclave: &Enclave<'_>,
+        tpm: &Tpm,
+    ) -> Result<SealedState, CoreError> {
         let blob = self
             .sealed_disk
             .as_ref()
             .ok_or_else(|| CoreError::SealedState("no sealed state on disk".into()))?;
-        let state = SealedState::unseal(blob, enclave, tpm, self.counter_id)?;
+        SealedState::unseal(blob, enclave, tpm, self.counter_id)
+    }
+
+    /// The half of [`Self::restore`] that does not: parses the unsealed
+    /// indexes and re-signs the sanitized one.
+    pub(crate) fn restore_unsealed(&mut self, state: SealedState) -> Result<(), CoreError> {
         self.upstream_index = if state.upstream_index.is_empty() {
             None
         } else {

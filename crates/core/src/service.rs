@@ -27,7 +27,7 @@ use tsr_wire::dto::ReadyDto;
 use crate::api::{self, Metrics};
 use crate::error::CoreError;
 use crate::hot::HotCache;
-use crate::parallel::default_workers;
+use crate::parallel::{default_workers, parallel_map_ordered};
 use crate::policy::Policy;
 use crate::replica::image_of;
 use crate::repository::{RefreshReport, TsrRepository};
@@ -70,7 +70,8 @@ pub(crate) fn seal_err(e: impl std::fmt::Display) -> CoreError {
 }
 
 /// Hardware and fleet state shared by every repository: the simulated SGX
-/// CPU (immutable after construction), the TPM (brief lock at seal time),
+/// CPU (immutable after construction but for its platform key, made on
+/// first use), the TPM (brief lock to create a counter, seal or unseal),
 /// the mirror fleet (read-mostly), and the service DRBG (locked only long
 /// enough to derive a per-operation child).
 pub(crate) struct SharedState {
@@ -208,6 +209,14 @@ impl TsrService {
     /// bytes). The recovered signed index is byte-identical to what was
     /// served before the crash.
     ///
+    /// Recovery takes about the time of the slowest tenant, not the sum:
+    /// every policy is parsed, the TPM counters are created one after
+    /// another in id order (so each tenant gets the counter id it always
+    /// had), and then key generation plus `restart` run per tenant on
+    /// [`Self::workers`] threads. The tenants are published in id order.
+    /// On failure the error is that of the first failing tenant in id
+    /// order.
+    ///
     /// An empty store yields a fresh service, so this is also the normal
     /// way to start a durable service. `seed` must match the seed of the
     /// service that wrote the store: the sealed blobs are bound to the
@@ -235,14 +244,37 @@ impl TsrService {
         svc.shared
             .next_id
             .store(state.next_id.max(1), Ordering::Relaxed);
+        // Tenants up to the first policy that does not parse; that
+        // error is returned only if every tenant before it recovers.
+        let mut tenants = Vec::new();
+        let mut bad_policy = None;
         for (id, durable) in &state.repos {
-            let mut repo = svc.init_repo(id, Policy::parse(&durable.policy_text)?);
-            svc.restart(&mut repo)?;
+            match Policy::parse(&durable.policy_text) {
+                Ok(policy) => tenants.push((id.clone(), policy)),
+                Err(e) => {
+                    bad_policy = Some(e);
+                    break;
+                }
+            }
+        }
+        let counters: Vec<u32> = {
+            let mut tpm = lock(&svc.shared.tpm);
+            tenants.iter().map(|_| tpm.create_counter()).collect()
+        };
+        let recovered = parallel_map_ordered(&tenants, svc.workers(), |i, (id, policy)| {
+            let mut repo = svc.init_repo_with_counter(id, policy.clone(), counters[i]);
+            svc.restart(&mut repo).map(|()| repo)
+        });
+        for ((id, _), repo) in tenants.iter().zip(recovered) {
+            let repo = repo?;
             svc.shared.hot.publish(id, repo.signed_index_etag());
             svc.repos
                 .write()
                 .unwrap_or_else(PoisonError::into_inner)
                 .insert(id.clone(), Arc::new(Mutex::new(repo)));
+        }
+        if let Some(e) = bad_policy {
+            return Err(e);
         }
         if let Some(store) = &svc.shared.store {
             svc.shared.metrics.count_store(&lock(store));
@@ -433,11 +465,25 @@ impl TsrService {
         self.shared.cpu.load_enclave(ENCLAVE_CODE)
     }
 
-    /// A fresh shard for `id`: signing key derived inside the enclave, a
-    /// new TPM monotonic counter. Not yet in the repository map.
+    /// A fresh shard for `id`: a new TPM monotonic counter, then the
+    /// signing key derived inside the enclave. The TPM lock is held for
+    /// the counter only — never across the key generation, so creating a
+    /// tenant does not stall every other tenant's seal. Not yet in the
+    /// repository map.
     pub(crate) fn init_repo(&self, id: &str, policy: Policy) -> TsrRepository {
-        let mut tpm = lock(&self.shared.tpm);
-        TsrRepository::init(id, policy, &self.enclave(), &mut tpm, self.shared.key_bits)
+        let counter_id = lock(&self.shared.tpm).create_counter();
+        self.init_repo_with_counter(id, policy, counter_id)
+    }
+
+    /// [`Self::init_repo`] over an already-created TPM counter.
+    fn init_repo_with_counter(&self, id: &str, policy: Policy, counter_id: u32) -> TsrRepository {
+        TsrRepository::with_counter(
+            id.to_string(),
+            policy,
+            &self.enclave(),
+            counter_id,
+            self.shared.key_bits,
+        )
     }
 
     /// Derives an independent child DRBG from the service RNG (the lock is
@@ -500,8 +546,8 @@ impl TsrService {
         let mut repo = live(&shard)?;
         let report = repo.refresh_unsealed(&mirrors, &model, &mut rng, workers)?;
         let seal_counter = {
-            // One hold of the TPM lock: another tenant's key generation
-            // can keep it for a long time.
+            // One hold of the TPM lock for the seal and the counter it
+            // binds.
             let mut tpm = lock(&self.shared.tpm);
             repo.persist(&self.enclave(), &mut tpm)?;
             tpm.read_counter(repo.counter_id()).map_err(seal_err)?
@@ -597,12 +643,15 @@ impl TsrService {
     }
 
     /// The platform attestation key clients use to verify reports.
+    /// Generated on first use (here or by [`Self::attestation_report`]),
+    /// so the first call after a start pays one key generation.
     pub fn platform_key_pem(&self) -> String {
         self.shared.cpu.attestation_key().to_pem()
     }
 
     /// Produces an attestation report carrying `nonce` (SGX remote
-    /// attestation, Figure 7 step ➊).
+    /// attestation, Figure 7 step ➊). The first report after a start also
+    /// generates the platform key.
     pub fn attestation_report(&self, nonce: &[u8]) -> (String, String, String) {
         let report = self.enclave().report(nonce);
         (
@@ -831,6 +880,104 @@ pub(crate) mod tests {
         // A fresh refresh converges back to the same served bytes.
         svc2.refresh(&id).unwrap();
         assert_eq!(svc2.fetch_index(&id).unwrap(), index);
+    }
+
+    /// Recovers a `b"svc-recover"` service from the store on `fs`.
+    fn recover(fs: &Arc<Mutex<tsr_simfs::SimFs>>) -> Result<TsrService, CoreError> {
+        let model = LatencyModel::default();
+        TsrService::with_store(b"svc-recover", mirrors(), model, 1024, sim_backend(fs))
+            .map(|(svc, _)| svc)
+    }
+
+    /// What every tenant serves: its signed index and each package blob
+    /// (`None` where it serves nothing).
+    fn served(svc: &TsrService) -> Map<String, Vec<Option<Vec<u8>>>> {
+        svc.repository_ids()
+            .into_iter()
+            .map(|id| {
+                let mut bytes = vec![svc.fetch_index(&id).ok()];
+                for pkg in ["tool", "extra"] {
+                    bytes.push(svc.fetch_package(&id, pkg).ok());
+                }
+                (id, bytes)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parallel_recovery_serves_the_pre_kill_bytes() {
+        let fs = Arc::new(Mutex::new(tsr_simfs::SimFs::new()));
+        let svc = recover(&fs).unwrap();
+        let [twice, deleted, once, never] =
+            std::array::from_fn(|_| svc.create_repository(&policy_text()).unwrap().0);
+        svc.refresh(&twice).unwrap();
+        svc.refresh(&deleted).unwrap();
+        svc.with_mirrors(|ms| {
+            publish_to_all(ms, &snapshot(2, &[("tool", "1.1"), ("extra", "1.0")]));
+        });
+        svc.refresh(&twice).unwrap();
+        svc.refresh(&once).unwrap();
+        svc.delete_repository(&deleted).unwrap();
+        let before = served(&svc);
+        assert_eq!(before.len(), 3);
+        assert_eq!(before[&never], vec![None, None, None], "never refreshed");
+        drop(svc); // enclave crash
+
+        let svc = recover(&fs).unwrap();
+        assert_eq!(
+            svc.repository_ids(),
+            [twice.clone(), once.clone(), never.clone()]
+        );
+        assert_eq!(served(&svc), before, "byte-identical after recovery");
+
+        // A refresh after recovery seals on the recovered counters, and a
+        // second recovery replays them.
+        svc.with_mirrors(|ms| publish_to_all(ms, &snapshot(3, &[("tool", "1.2")])));
+        svc.refresh(&once).unwrap();
+        let before = served(&svc);
+        assert_ne!(before[&once][0], None);
+        drop(svc);
+        let svc = recover(&fs).unwrap();
+        assert_eq!(
+            served(&svc),
+            before,
+            "byte-identical after a second recovery"
+        );
+    }
+
+    #[test]
+    fn recovery_fails_on_the_first_bad_seal_in_id_order() {
+        let fs = Arc::new(Mutex::new(tsr_simfs::SimFs::new()));
+        let svc = recover(&fs).unwrap();
+        let ids: Vec<String> = (0..3)
+            .map(|_| svc.create_repository(&policy_text()).unwrap().0)
+            .collect();
+        for id in &ids {
+            svc.refresh(id).unwrap();
+        }
+        drop(svc);
+        {
+            // The middle tenant's seal fails authentication, the last
+            // one's does not even parse: the middle one is reported.
+            let (mut eng, _) = StoreEngine::open(sim_backend(&fs)).unwrap();
+            let repos = eng.state().repos.clone();
+            let mut tampered = repos[&ids[1]].sealed.clone();
+            *tampered.last_mut().unwrap() ^= 1;
+            for (id, sealed) in [(&ids[1], tampered), (&ids[2], vec![0; 3])] {
+                eng.append(&WalRecord::SealUpdated {
+                    id: id.clone(),
+                    sealed,
+                    counter: repos[id].seal_counter,
+                })
+                .unwrap();
+            }
+        }
+        let err = recover(&fs).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::SealedState(m)
+                if m == "unsealing failed: wrong enclave/cpu or tampered blob"),
+            "{err:?}"
+        );
     }
 
     #[test]

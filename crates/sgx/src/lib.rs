@@ -19,6 +19,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use tsr_crypto::drbg::HmacDrbg;
@@ -62,27 +63,41 @@ impl Measurement {
 #[derive(Debug)]
 pub struct Cpu {
     fuse_key: [u8; 32],
-    attestation_key: RsaPrivateKey,
+    /// The seed DRBG as it stands after the fuse key was drawn: the
+    /// attestation key is generated from this state on first use.
+    key_rng: HmacDrbg,
+    attestation_key: OnceLock<RsaPrivateKey>,
     epc: EpcModel,
 }
 
 impl Cpu {
     /// Manufactures a CPU from a seed; the attestation key plays the role of
     /// the Intel-provisioned platform key checked during remote attestation.
+    ///
+    /// Real platform keys are provisioned, not made at boot, so this one
+    /// is generated the first time a report or [`Self::attestation_key`]
+    /// needs it — always the same key for the same seed.
     pub fn new(seed: &[u8]) -> Self {
-        let mut rng = HmacDrbg::new(&[b"tsr-sgx-cpu:", seed].concat());
+        let mut key_rng = HmacDrbg::new(&[b"tsr-sgx-cpu:", seed].concat());
         let mut fuse_key = [0u8; 32];
-        rng.fill_bytes(&mut fuse_key);
+        key_rng.fill_bytes(&mut fuse_key);
         Cpu {
             fuse_key,
-            attestation_key: RsaPrivateKey::generate(1024, &mut rng),
+            key_rng,
+            attestation_key: OnceLock::new(),
             epc: EpcModel::default(),
         }
     }
 
+    /// The private platform key, generated on first use.
+    fn platform_key(&self) -> &RsaPrivateKey {
+        self.attestation_key
+            .get_or_init(|| RsaPrivateKey::generate(1024, &mut self.key_rng.clone()))
+    }
+
     /// The platform verification key (what remote verifiers trust).
     pub fn attestation_key(&self) -> &RsaPublicKey {
-        self.attestation_key.public_key()
+        self.platform_key().public_key()
     }
 
     /// The EPC cost model of this CPU.
@@ -200,7 +215,7 @@ impl Enclave<'_> {
         Report {
             mrenclave: self.measurement,
             report_data: data,
-            signature: self.cpu.attestation_key.sign_pkcs1_sha256(&msg),
+            signature: self.cpu.platform_key().sign_pkcs1_sha256(&msg),
         }
     }
 
@@ -484,6 +499,23 @@ mod tests {
         assert!(out > 0);
         assert!((t.factor - 1.18).abs() < 1e-9);
         assert!(t.simulated >= t.real);
+    }
+
+    #[test]
+    fn platform_key_is_pinned() {
+        let pem = Cpu::new(b"golden").attestation_key().to_pem();
+        assert_eq!(
+            tsr_crypto::hex::to_hex(&Sha256::digest(pem.as_bytes())),
+            "dac462cce48688ec71805af361a19a65bb4003b4042c28f28921c67c582b7c37"
+        );
+    }
+
+    #[test]
+    fn a_report_made_before_the_key_is_read_verifies_under_it() {
+        let c = Cpu::new(b"golden");
+        let e = c.load_enclave(b"tsr-v1");
+        let r = e.report(b"made first");
+        r.verify(c.attestation_key(), &e.measurement()).unwrap();
     }
 
     #[test]

@@ -28,6 +28,7 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 use tsr_crypto::drbg::HmacDrbg;
 use tsr_crypto::{RsaPrivateKey, RsaPublicKey, Sha256};
@@ -117,26 +118,38 @@ impl Quote {
 #[derive(Debug)]
 pub struct Tpm {
     pcrs: [[u8; 32]; PCR_COUNT],
-    attestation_key: RsaPrivateKey,
+    /// The seed DRBG the attestation key is generated from on first use.
+    ak_rng: HmacDrbg,
+    attestation_key: OnceLock<RsaPrivateKey>,
     counters: Vec<u64>,
     nvram: BTreeMap<u32, Vec<u8>>,
 }
 
 impl Tpm {
     /// Manufactures a TPM; the attestation key is derived from `seed`.
+    ///
+    /// A real TPM's key is provisioned, not made at power-on, so this one
+    /// is generated the first time a quote or [`Self::attestation_key`]
+    /// needs it — always the same key for the same seed.
     pub fn new(seed: &[u8]) -> Self {
-        let mut rng = HmacDrbg::new(&[b"tsr-tpm-ak:", seed].concat());
         Tpm {
             pcrs: [[0u8; 32]; PCR_COUNT],
-            attestation_key: RsaPrivateKey::generate(1024, &mut rng),
+            ak_rng: HmacDrbg::new(&[b"tsr-tpm-ak:", seed].concat()),
+            attestation_key: OnceLock::new(),
             counters: Vec::new(),
             nvram: BTreeMap::new(),
         }
     }
 
+    /// The private attestation key, generated on first use.
+    fn ak(&self) -> &RsaPrivateKey {
+        self.attestation_key
+            .get_or_init(|| RsaPrivateKey::generate(1024, &mut self.ak_rng.clone()))
+    }
+
     /// The public attestation key verifiers trust.
     pub fn attestation_key(&self) -> &RsaPublicKey {
-        self.attestation_key.public_key()
+        self.ak().public_key()
     }
 
     /// Extends `pcr` with a measurement digest:
@@ -187,7 +200,7 @@ impl Tpm {
             pcr_selection: sel,
             pcr_values: values,
             nonce: nonce.to_vec(),
-            signature: self.attestation_key.sign_pkcs1_sha256(&msg),
+            signature: self.ak().sign_pkcs1_sha256(&msg),
         }
     }
 
@@ -249,12 +262,8 @@ impl Tpm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::OnceLock;
 
     fn tpm() -> Tpm {
-        // Reuse one AK across tests: key generation dominates test time.
-        static SEED_TPM: OnceLock<Vec<u8>> = OnceLock::new();
-        let _ = SEED_TPM;
         Tpm::new(b"test-tpm")
     }
 
@@ -360,6 +369,23 @@ mod tests {
     fn nvram_read_unknown() {
         let t = tpm();
         assert!(matches!(t.nv_read(9), Err(TpmError::UnknownNvIndex(9))));
+    }
+
+    #[test]
+    fn attestation_key_is_pinned() {
+        let pem = Tpm::new(b"golden").attestation_key().to_pem();
+        assert_eq!(
+            tsr_crypto::hex::to_hex(&Sha256::digest(pem.as_bytes())),
+            "0097831ba6de68c993a1e4401c07aa87177ed649f564ae5ab562af8a8d47396a"
+        );
+    }
+
+    #[test]
+    fn a_quote_made_before_the_key_is_read_verifies_under_it() {
+        let mut t = Tpm::new(b"golden");
+        t.extend(10, &[7u8; 32]);
+        let q = t.quote(&[10], b"made first");
+        q.verify(t.attestation_key(), b"made first").unwrap();
     }
 
     #[test]
