@@ -8,7 +8,7 @@
 //! the consumer, not here.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 
 use tsr_http::router::{percent_decode, split_query};
 use tsr_http::{Request, Response};
@@ -20,7 +20,7 @@ use crate::transport::NodeTransport;
 
 /// A request-forwarding front over a cluster.
 pub struct ClusterRouter {
-    config: RwLock<ClusterConfigDto>,
+    config: ClusterConfigDto,
     transport: Arc<dyn NodeTransport>,
     failovers: AtomicU64,
 }
@@ -59,26 +59,15 @@ impl ClusterRouter {
     /// A router over `config`, reaching nodes through `transport`.
     pub fn new(config: ClusterConfigDto, transport: Arc<dyn NodeTransport>) -> Self {
         ClusterRouter {
-            config: RwLock::new(config),
+            config,
             transport,
             failovers: AtomicU64::new(0),
         }
     }
 
-    /// The config requests are currently routed by.
+    /// The config requests are routed by.
     pub fn config(&self) -> ClusterConfigDto {
-        self.config
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Adopts `config` if its epoch is strictly newer.
-    pub fn set_config(&self, config: ClusterConfigDto) {
-        let mut cfg = self.config.write().unwrap_or_else(PoisonError::into_inner);
-        if config.epoch > cfg.epoch {
-            *cfg = config;
-        }
+        self.config.clone()
     }
 
     /// Reads that were failed over to a replica so far.

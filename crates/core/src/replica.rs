@@ -11,12 +11,15 @@
 //!   indexes, so a refresh is one WAL frame, all or nothing;
 //! - `install` — the only place a seal is installed: sealed
 //!   blob → TPM counter replay → unseal → package cache rebuilt for
-//!   exactly the hashes the *unsealed* indexes pin.
+//!   exactly the hashes the *unsealed* indexes pin, each blob from the
+//!   push or else the store.
 //!
 //! A refresh is `commit(image_of(..))`; crash recovery
 //! ([`TsrService::with_store`]) and [`TsrService::crash_restart`] are one
-//! `restart`: the durable seal read, then `install`;
+//! `restart`: the durable seal read from the store, then `install`;
 //! [`TsrService::apply_replicated_state`] is vet → `commit` → `install`.
+//! Every service has a store (in memory for [`TsrService::new`]), so
+//! none of these paths has a second arm.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -94,20 +97,16 @@ impl TsrService {
             .map_err(seal_err)
     }
 
-    /// Makes `image` durable (no-op without a store): logs the creation
-    /// when the repository is new to this node, writes the blobs the
-    /// store does not hold yet, then logs the seal. Runs under the
-    /// repository shard lock, before the state is observable; lock order
-    /// `repository → store`.
+    /// Makes `image` durable: logs the creation when the repository is
+    /// new to this node, writes the blobs the store does not hold yet,
+    /// then logs the seal. Runs under the repository shard lock, before
+    /// the state is observable; lock order `repository → store`.
     ///
     /// # Errors
     ///
     /// [`CoreError::SealedState`] when a durable write fails — the state
     /// must not be published in that case.
     pub(crate) fn commit(&self, image: &ReplicatedState, is_new: bool) -> Result<(), CoreError> {
-        let Some(store) = &self.shared.store else {
-            return Ok(());
-        };
         let created = is_new.then(|| WalRecord::RepoCreated {
             id: image.id.clone(),
             policy_text: image.policy_text.clone(),
@@ -117,7 +116,7 @@ impl TsrService {
             sealed: image.sealed.clone(),
             counter: image.seal_counter,
         });
-        let mut eng = lock(store);
+        let mut eng = lock(&self.shared.store);
         if let Some(record) = &created {
             eng.append(record).map_err(store_err)?;
         }
@@ -141,26 +140,19 @@ impl TsrService {
     /// Restarts `repo` from its durable seal: the one path shared by crash
     /// recovery ([`TsrService::with_store`], on a freshly initialised
     /// shard) and [`TsrService::crash_restart`]. The seal and its counter
-    /// are read from the store on a store-backed service, and from the
-    /// repository's own sealed disk and the TPM otherwise; the in-enclave
-    /// state is then dropped and the seal installed with nothing pushed.
+    /// are read from the store; the in-enclave state is then dropped and
+    /// the seal installed with nothing pushed.
     ///
     /// # Errors
     ///
     /// As [`Self::install`].
     pub(crate) fn restart(&self, repo: &mut TsrRepository) -> Result<(), CoreError> {
-        let (sealed, counter) = match &self.shared.store {
-            Some(store) => lock(store)
-                .state()
-                .repos
-                .get(&repo.id)
-                .map(|durable| (durable.sealed.clone(), durable.seal_counter))
-                .unwrap_or_default(),
-            None => (
-                repo.sealed_disk().map(<[u8]>::to_vec).unwrap_or_default(),
-                self.seal_counter(repo)?,
-            ),
-        };
+        let (sealed, counter) = lock(&self.shared.store)
+            .state()
+            .repos
+            .get(&repo.id)
+            .map(|durable| (durable.sealed.clone(), durable.seal_counter))
+            .unwrap_or_default();
         repo.crash();
         self.install(repo, &sealed, counter, &[])
     }
@@ -175,11 +167,6 @@ impl TsrService {
     /// which keeps no copy: the cache is the resident holder. Nothing the
     /// sender says about which hash belongs to which package is used: the
     /// seal is the only durable copy of the indexes, locally as in a push.
-    ///
-    /// A store-less service has no blob store to read back, so there the
-    /// entry the cache already holds under a pinned name is kept: the
-    /// paper's cache-on-disk, re-verified against the index on every
-    /// serve. That is the one difference between the two modes.
     ///
     /// # Errors
     ///
@@ -208,25 +195,22 @@ impl TsrService {
         }
         let pushed: BTreeMap<&str, &Arc<[u8]>> =
             pushed.iter().map(|(h, b)| (h.as_str(), b)).collect();
-        let held = repo.cache();
         let mut cache = PackageCache::new();
         for (name, hash, is_sanitized) in
             pins(repo.upstream_index(), false).chain(pins(repo.sanitized_index(), true))
         {
-            let blob = match (pushed.get(hash.as_str()), &self.shared.store) {
-                (Some(blob), _) => Some(Arc::clone(blob)),
+            let blob = match pushed.get(hash.as_str()) {
+                Some(blob) => Some(Arc::clone(blob)),
                 // One store-lock hold per blob, so other tenants' commits
                 // and seal reads interleave with a long cache rebuild.
-                (None, Some(store)) => {
-                    let eng = lock(store);
+                None => {
+                    let eng = lock(&self.shared.store);
                     if eng.has_blob(&hash) {
                         Some(eng.get_blob(&hash).map_err(store_err)?)
                     } else {
                         None
                     }
                 }
-                (None, None) if is_sanitized => held.sanitized(&name).cloned(),
-                (None, None) => held.original(&name).cloned(),
             };
             // Policy-excluded upstream entries were never downloaded;
             // anything else missing re-downloads on the next refresh.
@@ -338,7 +322,9 @@ impl TsrService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::tests::{mirrors, policy_text, service, sim_backend, snapshot};
+    use crate::service::tests::{
+        api_request, mirrors, policy_text, service, sim_backend, snapshot,
+    };
     use tsr_net::LatencyModel;
     use tsr_simfs::SimFs;
     use tsr_store::RecoveryReport;
@@ -581,8 +567,8 @@ mod tests {
     }
 
     #[test]
-    fn a_store_backed_crash_restart_reads_the_blobs_back_from_the_store() {
-        let (svc, _) = stored_service(&Arc::new(Mutex::new(SimFs::new())));
+    fn a_crash_restart_reads_the_blobs_back_from_the_store() {
+        let svc = service();
         let (id, _) = svc.create_repository(&policy_text()).unwrap();
         svc.refresh(&id).unwrap();
         let pkg = svc.fetch_package(&id, "tool").unwrap();
@@ -594,6 +580,82 @@ mod tests {
         }
         assert!(before.upgrade().is_none(), "the pre-crash cache survived");
         assert_eq!(svc.fetch_package(&id, "tool").unwrap(), pkg);
+    }
+
+    #[test]
+    fn crash_restart_replaces_a_tampered_cache_entry_from_the_store() {
+        let svc = service();
+        let (id, _) = svc.create_repository(&policy_text()).unwrap();
+        svc.refresh(&id).unwrap();
+        let pkg = svc.fetch_package(&id, "tool").unwrap();
+        svc.with_repository_mut(&id, |repo| {
+            let evil: Arc<[u8]> = Arc::from(b"evil".to_vec().into_boxed_slice());
+            repo.cache_mut().store_sanitized("tool", evil);
+        })
+        .unwrap();
+        assert!(matches!(
+            svc.fetch_package(&id, "tool"),
+            Err(CoreError::RollbackDetected(_))
+        ));
+        for (_, outcome) in svc.crash_restart() {
+            outcome.unwrap();
+        }
+        assert_eq!(svc.fetch_package(&id, "tool").unwrap(), pkg);
+    }
+
+    #[test]
+    fn a_tampered_store_blob_is_never_served() {
+        let fs = Arc::new(Mutex::new(SimFs::new()));
+        let (svc, _) = stored_service(&fs);
+        let (id, _) = svc.create_repository(&policy_text()).unwrap();
+        svc.refresh(&id).unwrap();
+        let pkg = svc.fetch_package(&id, "tool").unwrap();
+        let hash = svc
+            .with_repository(&id, |repo| {
+                repo.sanitized_index()
+                    .unwrap()
+                    .get("tool")
+                    .unwrap()
+                    .content_hash
+                    .clone()
+            })
+            .unwrap();
+        let flipped = {
+            let path = format!("/store/blobs/{}/{hash}", &hash[..2]);
+            let mut disk = fs.lock().unwrap();
+            let mut blob = disk.read_file(&path).unwrap().to_vec();
+            blob[0] ^= 1;
+            disk.write_file(&path, blob.clone()).unwrap();
+            blob
+        };
+
+        // Recovery reads every pinned blob back and refuses the tenant.
+        let model = LatencyModel::default();
+        let recovered =
+            TsrService::with_store(b"svc-test", mirrors(), model, 1024, sim_backend(&fs));
+        let err = recovered.unwrap_err();
+        assert!(
+            matches!(&err, CoreError::SealedState(m) if m.contains("hash mismatch")),
+            "{err:?}"
+        );
+        // So does an in-process restart over the same store.
+        let outcomes = svc.crash_restart();
+        assert_eq!(outcomes.len(), 1);
+        assert!(
+            matches!(&outcomes[0], (tenant, Err(CoreError::SealedState(_))) if *tenant == id),
+            "{outcomes:?}"
+        );
+        // No GET ever answers with the flipped bytes, whether the blob is
+        // read through the shard or (the second time) the serve cache.
+        let get = api_request("GET", &format!("/v1/repositories/{id}/packages/tool"), &[]);
+        for _ in 0..2 {
+            let resp = svc.handle(&get);
+            assert_ne!(resp.body, flipped);
+            assert!(resp.status != 200 || resp.body == pkg, "{}", resp.status);
+        }
+        if let Ok(served) = svc.fetch_package(&id, "tool") {
+            assert_eq!(served, pkg);
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use tsr_mirror::Mirror;
 use tsr_net::LatencyModel;
 use tsr_obs::{Counter, Journal, Registry, RequestScope};
 use tsr_sgx::{Cpu, Enclave};
-use tsr_store::{RecoveryReport, StoreBackend, StoreEngine, WalRecord};
+use tsr_store::{MemBackend, RecoveryReport, StoreBackend, StoreEngine, WalRecord};
 use tsr_tpm::Tpm;
 use tsr_wire::dto::ReadyDto;
 
@@ -88,12 +88,13 @@ pub(crate) struct SharedState {
     metrics: Metrics,
     /// The serve cache (see [`crate::hot`]); a leaf lock.
     hot: HotCache,
-    /// The durable storage engine (WAL + content-addressed blobs), when
-    /// the service was opened over one ([`TsrService::with_store`]).
-    /// A leaf lock in the hierarchy, like `tpm`: taken while holding a
-    /// repository shard lock (`repository → store`) but never while the
-    /// TPM lock is held, and no other lock is ever acquired under it.
-    pub(crate) store: Option<Mutex<StoreEngine>>,
+    /// The durable storage engine (WAL + content-addressed blobs): the
+    /// backend [`TsrService::with_store`] opened, in memory for
+    /// [`TsrService::new`]. A leaf lock in the hierarchy, like `tpm`:
+    /// taken while holding a repository shard lock (`repository →
+    /// store`) but never while the TPM lock is held, and no other lock
+    /// is ever acquired under it.
+    pub(crate) store: Mutex<StoreEngine>,
     /// The typed metric registry behind the Prometheus exposition
     /// (`GET /v1/metrics?format=prometheus`). The HTTP middleware's
     /// latency histograms and in-flight gauges register here; cloning
@@ -155,49 +156,22 @@ impl std::fmt::Debug for TsrService {
 }
 
 impl TsrService {
-    /// Creates a service on a simulated SGX CPU.
+    /// Creates a service on a simulated SGX CPU over an empty in-memory
+    /// store ([`MemBackend`]): [`Self::with_store`] with nothing durable
+    /// beyond the process, so seals and package bytes take the same path
+    /// as on a durable service. The cost is memory: every blob is held
+    /// twice, in the package cache and in the store.
     ///
     /// `key_bits` sizes per-repository signing keys (2048 = paper-faithful,
     /// 1024 = fast tests). The refresh worker count defaults to
     /// [`default_workers`]; tune it with [`Self::set_workers`].
     pub fn new(seed: &[u8], mirrors: Vec<Mirror>, model: LatencyModel, key_bits: usize) -> Self {
-        Self::build(seed, mirrors, model, key_bits, None)
-    }
-
-    fn build(
-        seed: &[u8],
-        mirrors: Vec<Mirror>,
-        model: LatencyModel,
-        key_bits: usize,
-        store: Option<Mutex<StoreEngine>>,
-    ) -> Self {
-        let cpu = Cpu::new(seed);
-        let tpm = Tpm::new(seed);
-        let rng = HmacDrbg::new(&[b"tsr-service:", seed].concat());
-        let obs_registry = Registry::new();
-        let metrics = Metrics::new(&obs_registry);
-        let hot = HotCache::new(metrics.hot_blob_evictions.clone());
-        TsrService {
-            shared: Arc::new(SharedState {
-                cpu,
-                tpm: Mutex::new(tpm),
-                mirrors: RwLock::new(mirrors),
-                model: RwLock::new(model),
-                rng: Mutex::new(rng),
-                next_id: AtomicU64::new(1),
-                key_bits,
-                workers: AtomicUsize::new(default_workers()),
-                metrics,
-                hot,
-                store,
-                obs_registry,
-                obs_journal: Journal::default(),
-                recovering: AtomicBool::new(false),
-                draining: AtomicBool::new(false),
-                cluster_epoch_ok: AtomicBool::new(true),
-            }),
-            repos: Arc::new(RwLock::new(BTreeMap::new())),
-        }
+        let store = Box::new(MemBackend::default());
+        // An empty in-memory store has nothing to replay, so it always
+        // opens and recovers no tenant.
+        let (svc, _) = Self::with_store(seed, mirrors, model, key_bits, store)
+            .expect("an empty in-memory store opens");
+        svc
     }
 
     /// Opens a service over a durable storage engine, running crash
@@ -236,14 +210,32 @@ impl TsrService {
     ) -> Result<(Self, RecoveryReport), CoreError> {
         let (engine, report) = StoreEngine::open(backend).map_err(store_err)?;
         let state = engine.state().clone();
-        let svc = Self::build(seed, mirrors, model, key_bits, Some(Mutex::new(engine)));
-        // Not ready until the replay below finishes: anything polling
-        // `/v1/readyz` (a load balancer, the drain runbook) must not
-        // route traffic at a half-rebuilt node.
-        svc.shared.recovering.store(true, Ordering::SeqCst);
-        svc.shared
-            .next_id
-            .store(state.next_id.max(1), Ordering::Relaxed);
+        let obs_registry = Registry::new();
+        let metrics = Metrics::new(&obs_registry);
+        let svc = TsrService {
+            shared: Arc::new(SharedState {
+                cpu: Cpu::new(seed),
+                tpm: Mutex::new(Tpm::new(seed)),
+                mirrors: RwLock::new(mirrors),
+                model: RwLock::new(model),
+                rng: Mutex::new(HmacDrbg::new(&[b"tsr-service:", seed].concat())),
+                next_id: AtomicU64::new(state.next_id.max(1)),
+                key_bits,
+                workers: AtomicUsize::new(default_workers()),
+                hot: HotCache::new(metrics.hot_blob_evictions.clone()),
+                metrics,
+                store: Mutex::new(engine),
+                obs_registry,
+                obs_journal: Journal::default(),
+                // Not ready until the replay below finishes: anything
+                // polling `/v1/readyz` (a load balancer, the drain
+                // runbook) must not route traffic at a half-rebuilt node.
+                recovering: AtomicBool::new(true),
+                draining: AtomicBool::new(false),
+                cluster_epoch_ok: AtomicBool::new(true),
+            }),
+            repos: Arc::new(RwLock::new(BTreeMap::new())),
+        };
         // Tenants up to the first policy that does not parse; that
         // error is returned only if every tenant before it recovers.
         let mut tenants = Vec::new();
@@ -276,9 +268,7 @@ impl TsrService {
         if let Some(e) = bad_policy {
             return Err(e);
         }
-        if let Some(store) = &svc.shared.store {
-            svc.shared.metrics.count_store(&lock(store));
-        }
+        svc.shared.metrics.count_store(&lock(&svc.shared.store));
         svc.shared.recovering.store(false, Ordering::SeqCst);
         Ok((svc, report))
     }
@@ -431,18 +421,15 @@ impl TsrService {
         );
     }
 
-    /// Appends one record to the write-ahead log (no-op without a
-    /// store). Called before the mutation becomes observable to clients.
+    /// Appends one record to the write-ahead log. Called before the
+    /// mutation becomes observable to clients.
     ///
     /// # Errors
     ///
     /// [`CoreError::SealedState`] when the durable append fails — the
     /// mutation must not be published in that case.
     fn store_append(&self, record: &WalRecord) -> Result<(), CoreError> {
-        let Some(store) = &self.shared.store else {
-            return Ok(());
-        };
-        let mut eng = lock(store);
+        let mut eng = lock(&self.shared.store);
         eng.append(record).map_err(store_err)?;
         self.shared.metrics.count_store(&eng);
         drop(eng);
@@ -564,16 +551,11 @@ impl TsrService {
     /// hardware, through the path crash recovery ([`Self::with_store`])
     /// takes: every repository loses its volatile in-enclave state
     /// (indexes, sanitizer, signed index), reads its durable
-    /// TPM-counter-bound seal back — from the store on a store-backed
-    /// service, from its own sealed disk otherwise — and installs it.
+    /// TPM-counter-bound seal back from the store and installs it.
     /// Signing keys are re-derived deterministically inside the enclave,
-    /// so the restored signed index is byte-identical.
-    ///
-    /// The package cache is rebuilt for exactly the hashes the unsealed
-    /// indexes pin. A store-backed service reads every blob back from the
-    /// store; a store-less one keeps what its cache holds under each
-    /// pinned name (the paper's cache-on-disk, re-verified on every
-    /// serve). That is the one difference between the two.
+    /// so the restored signed index is byte-identical. The package cache
+    /// is rebuilt from the store for exactly the hashes the unsealed
+    /// indexes pin, so a tampered cache entry is replaced, not kept.
     ///
     /// Returns `(repository id, restart outcome)` per tenant. A tenant
     /// that was never refreshed restarts cleanly and stays unrefreshed,

@@ -47,11 +47,6 @@ pub struct RsaPrivateKey {
 }
 
 impl RsaPublicKey {
-    /// Constructs a public key from raw components.
-    pub fn from_components(n: BigUint, e: BigUint) -> Self {
-        RsaPublicKey { n, e }
-    }
-
     /// The modulus.
     pub fn modulus(&self) -> &BigUint {
         &self.n

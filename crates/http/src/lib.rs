@@ -301,11 +301,6 @@ impl Response {
         Response::text(400, msg)
     }
 
-    /// 500 with a text message.
-    pub fn server_error(msg: &str) -> Self {
-        Response::text(500, msg)
-    }
-
     /// Adds/replaces one header (builder style). Header names are
     /// lower-cased.
     pub fn with_header(mut self, name: &str, value: &str) -> Self {

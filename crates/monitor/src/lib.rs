@@ -92,11 +92,6 @@ impl Monitor {
         Monitor::default()
     }
 
-    /// Adds a hash to the whitelist.
-    pub fn whitelist_hash(&mut self, hex_hash: impl Into<String>) {
-        self.whitelist.insert(hex_hash.into());
-    }
-
     /// Whitelists file contents directly.
     pub fn whitelist_content(&mut self, content: &[u8]) {
         self.whitelist

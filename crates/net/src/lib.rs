@@ -161,12 +161,6 @@ impl LatencyModel {
         self.latency_factor
     }
 
-    /// Overrides the WAN bandwidth (bytes/second).
-    pub fn with_bandwidth(mut self, bytes_per_sec: f64) -> Self {
-        self.wan_bytes_per_sec = bytes_per_sec;
-        self
-    }
-
     /// Overrides the jitter fraction (0 disables jitter).
     pub fn with_jitter(mut self, frac: f64) -> Self {
         self.jitter_frac = frac;

@@ -367,16 +367,6 @@ impl PackageManager {
     }
 }
 
-/// Convenience used by tests and benches: installs directly from blobs,
-/// without HTTP.
-///
-/// # Errors
-///
-/// Same as [`TrustedOs::install`].
-pub fn install_blob(os: &mut TrustedOs, blob: &[u8]) -> Result<InstallTiming, PkgError> {
-    os.install(blob)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,7 +19,6 @@ use crate::dto::{
     AttestationDto, CreateRepositoryRequest, ErrorEnvelope, HealthDto, MetricsDto, PackagePage,
     RefreshReportDto, RepositoryCreated, RepositoryInfo, RepositoryList, WireDto,
 };
-use crate::json::Json;
 
 /// Errors surfaced by [`TsrClient`] operations.
 #[derive(Debug)]
@@ -393,17 +392,6 @@ impl TsrClient {
     /// Transport/API/decode errors as [`WireError`].
     pub fn cluster_digest(&self) -> Result<ClusterDigestDto, WireError> {
         self.get_dto("/v1/cluster/digest")
-    }
-
-    /// Raw JSON GET for endpoints without a typed DTO yet.
-    ///
-    /// # Errors
-    ///
-    /// Transport/API/parse errors as [`WireError`].
-    pub fn get_json(&self, path: &str) -> Result<Json, WireError> {
-        let resp = Self::check(self.http.get(&self.url(path))?)?;
-        Json::parse(&String::from_utf8_lossy(&resp.body))
-            .map_err(|e| WireError::Decode(e.to_string()))
     }
 
     /// Raw text GET for non-JSON endpoints — e.g. the Prometheus
