@@ -31,11 +31,13 @@ fn main() {
     let mut lat_original: Vec<f64> = Vec::new();
     let mut lat_sanitized: Vec<f64> = Vec::new();
 
+    let upstream = world.repo.upstream_index().expect("refreshed");
     for name in &names {
+        let hash = &upstream.get(name).expect("upstream entry").content_hash;
         let original = world
             .repo
             .cache()
-            .original(name)
+            .get(hash)
             .cloned()
             .expect("cached original");
 

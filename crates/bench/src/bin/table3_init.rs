@@ -43,13 +43,13 @@ fn main() {
     // Re-trigger sanitization of everything by resetting the sanitized side.
     let mut world2 = BenchWorld::new(scale(), b"table3");
     world2.refresh(1); // warm: originals + sanitized cached
-    let names: Vec<String> = world2.upstream.blobs.keys().cloned().collect();
+    let upstream = world2.repo.upstream_index().expect("refreshed");
     let signers = world2.repo.policy().signer_keys_named();
     let sanitizer_time = {
         let t = Instant::now();
         let sanitizer = world2.repo.sanitizer().expect("refreshed");
-        for name in &names {
-            if let Some(blob) = world2.repo.cache().original(name) {
+        for entry in upstream.iter() {
+            if let Some(blob) = world2.repo.cache().get(&entry.content_hash) {
                 let _ = sanitizer.sanitize(blob, &signers);
             }
         }

@@ -4,17 +4,20 @@
 //! every package on the *untrusted* disk. An adversary with root access
 //! could revert cached files to older versions, so:
 //!
-//! - every read from the cache is verified against the content hash pinned
-//!   by the in-enclave metadata index — the index, never the cached bytes,
-//!   decides which hash is right,
+//! - the cache is keyed by the content hashes the in-enclave metadata
+//!   index pins, and every serve re-hashes the bytes against that key —
+//!   the index, never the cached bytes, decides which hash is right,
 //! - the metadata indexes themselves survive restarts via **SGX sealing**
 //!   bound to a **TPM monotonic counter**: state is sealed together with
 //!   the counter value, and on restore the unsealed value must equal the
 //!   hardware counter.
 //!
 //! [`PackageCache`] is the one resident holder of a tenant's package
-//! bytes: the serve-side `HotCache` keeps a bounded set of the same
-//! `Arc`s, the blob store keeps files only.
+//! bytes, keyed like every other holder — the indexes, the blob store,
+//! a replication push — by content hash. What it holds after a refresh
+//! or an install is exactly the hashes the two indexes pin
+//! (`TsrRepository::pins`). The serve-side `HotCache` keeps a bounded
+//! set of the same `Arc`s, the blob store keeps files only.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -25,15 +28,15 @@ use tsr_tpm::Tpm;
 
 use crate::error::CoreError;
 
-/// In-memory model of TSR's on-disk package cache.
+/// In-memory model of TSR's on-disk package cache: hex SHA-256 → blob,
+/// for originals and sanitized blobs alike.
 ///
 /// Blobs are held as `Arc<[u8]>` shared allocations: a reader derefs for
 /// a slice or clones the `Arc`, which is how the HTTP layer serves them
 /// zero-copy via [`tsr_http::Body::Shared`].
 #[derive(Debug, Clone, Default)]
 pub struct PackageCache {
-    originals: BTreeMap<String, Arc<[u8]>>,
-    sanitized: BTreeMap<String, Arc<[u8]>>,
+    blobs: BTreeMap<String, Arc<[u8]>>,
 }
 
 impl PackageCache {
@@ -42,73 +45,47 @@ impl PackageCache {
         PackageCache::default()
     }
 
-    /// Stores the original upstream blob for `name`.
-    pub fn store_original(&mut self, name: &str, blob: impl Into<Arc<[u8]>>) {
-        self.originals.insert(name.to_string(), blob.into());
+    /// Stores `blob` under `hash`. The key is the caller's claim; only
+    /// [`Self::verified`] checks it.
+    pub fn insert(&mut self, hash: &str, blob: impl Into<Arc<[u8]>>) {
+        self.blobs.insert(hash.to_string(), blob.into());
     }
 
-    /// Stores the sanitized blob for `name`.
-    pub fn store_sanitized(&mut self, name: &str, blob: impl Into<Arc<[u8]>>) {
-        self.sanitized.insert(name.to_string(), blob.into());
-    }
-
-    /// The original upstream blob of `name`.
-    pub fn original(&self, name: &str) -> Option<&Arc<[u8]>> {
-        self.originals.get(name)
-    }
-
-    /// The sanitized blob of `name`, unverified: for presence checks and
+    /// The blob stored under `hash`, unverified: for presence checks and
     /// for carrying bytes whose hash the receiver checks.
-    pub fn sanitized(&self, name: &str) -> Option<&Arc<[u8]>> {
-        self.sanitized.get(name)
+    pub fn get(&self, hash: &str) -> Option<&Arc<[u8]>> {
+        self.blobs.get(hash)
     }
 
-    /// The sanitized blob of `name`, verified against `pinned_hash` (hex
-    /// SHA-256 from the in-enclave index) before it is returned — the
-    /// untrusted-disk rollback check.
+    /// The blob stored under `hash` (hex SHA-256 pinned by the in-enclave
+    /// index), hashed again before it is returned — the untrusted-disk
+    /// rollback check.
     ///
     /// # Errors
     ///
     /// [`CoreError::NotFound`] when the entry is missing,
     /// [`CoreError::RollbackDetected`] when the bytes do not match.
-    pub fn sanitized_verified(
-        &self,
-        name: &str,
-        pinned_hash: &str,
-    ) -> Result<&Arc<[u8]>, CoreError> {
+    pub fn verified(&self, hash: &str) -> Result<&Arc<[u8]>, CoreError> {
         let blob = self
-            .sanitized(name)
-            .ok_or_else(|| CoreError::NotFound(format!("package {name} not cached")))?;
-        if hex::to_hex(&Sha256::digest(blob)) != pinned_hash {
+            .get(hash)
+            .ok_or_else(|| CoreError::NotFound(format!("blob {hash} not cached")))?;
+        if hex::to_hex(&Sha256::digest(blob)) != hash {
             return Err(CoreError::RollbackDetected(format!(
-                "cached package {name} does not match the sealed index"
+                "cached blob {hash} does not match the sealed index"
             )));
         }
         Ok(blob)
     }
 
-    /// Whether the original of `name` is cached with exactly `hash`.
-    pub fn original_matches(&self, name: &str, hash: &str) -> bool {
-        self.originals
-            .get(name)
-            .map(|b| hex::to_hex(&Sha256::digest(b)) == hash)
-            .unwrap_or(false)
+    /// Drops every entry whose hash `keep` refuses.
+    pub(crate) fn retain(&mut self, keep: impl Fn(&str) -> bool) {
+        self.blobs.retain(|hash, _| keep(hash));
     }
 
-    /// Drops the sanitized entry (e.g. when the universe changed).
-    pub fn invalidate_sanitized(&mut self, name: &str) {
-        self.sanitized.remove(name);
-    }
-
-    /// Drops entries for packages no longer in the upstream index.
-    pub fn retain(&mut self, keep: impl Fn(&str) -> bool) {
-        self.originals.retain(|k, _| keep(k));
-        self.sanitized.retain(|k, _| keep(k));
-    }
-
-    /// Number of cached originals / sanitized blobs.
-    pub fn stats(&self) -> (usize, usize) {
-        (self.originals.len(), self.sanitized.len())
+    /// Number of cached blobs.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.blobs.len()
     }
 }
 
@@ -234,55 +211,31 @@ mod tests {
     use tsr_sgx::Cpu;
 
     #[test]
-    fn cache_store_read() {
-        let mut c = PackageCache::new();
-        c.store_original("a", vec![1; 100]);
-        c.store_sanitized("a", vec![2; 120]);
-        assert_eq!(c.original("a").unwrap()[..], [1; 100]);
-        assert_eq!(c.sanitized("a").unwrap()[..], [2; 120]);
-        assert!(c.original("b").is_none() && c.sanitized("b").is_none());
-        assert_eq!(c.stats(), (1, 1));
-    }
-
-    #[test]
-    fn verified_read_detects_tamper() {
+    fn cache_is_keyed_and_verified_by_content_hash() {
         let mut c = PackageCache::new();
         let blob = vec![7u8; 64];
         let h = hex::to_hex(&Sha256::digest(&blob));
-        c.store_sanitized("p", blob);
-        assert!(c.sanitized_verified("p", &h).is_ok());
-        c.store_sanitized("p", vec![0u8; 64]);
+        let other = hex::to_hex(&Sha256::digest(&[5u8; 10]));
+        c.insert(&h, blob.clone());
+        c.insert(&other, vec![5u8; 10]);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.get(&h).unwrap()[..], blob[..]);
+        assert_eq!(c.verified(&h).unwrap()[..], blob[..]);
+        // Bytes rewritten under the pinned hash are caught by the
+        // verified read only.
+        c.insert(&h, vec![0u8; 64]);
+        assert!(c.get(&h).is_some());
         assert!(matches!(
-            c.sanitized_verified("p", &h),
+            c.verified(&h),
             Err(CoreError::RollbackDetected(_))
         ));
         assert!(matches!(
-            c.sanitized_verified("missing", &h),
+            c.verified(&"0".repeat(64)),
             Err(CoreError::NotFound(_))
         ));
-    }
-
-    #[test]
-    fn original_match_check() {
-        let mut c = PackageCache::new();
-        let blob = vec![5u8; 10];
-        let h = hex::to_hex(&Sha256::digest(&blob));
-        c.store_original("p", blob);
-        assert!(c.original_matches("p", &h));
-        assert!(!c.original_matches("p", &"0".repeat(64)));
-        assert!(!c.original_matches("q", &h));
-    }
-
-    #[test]
-    fn retain_and_invalidate() {
-        let mut c = PackageCache::new();
-        c.store_original("a", vec![1]);
-        c.store_sanitized("a", vec![1]);
-        c.store_original("b", vec![2]);
-        c.invalidate_sanitized("a");
-        assert_eq!(c.stats(), (2, 0));
-        c.retain(|n| n == "a");
-        assert_eq!(c.stats(), (1, 0));
+        c.retain(|hash| hash == other);
+        assert_eq!(c.len(), 1);
+        assert!(c.get(&h).is_none() && c.verified(&other).is_ok());
     }
 
     #[test]

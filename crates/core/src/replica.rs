@@ -11,8 +11,9 @@
 //!   indexes, so a refresh is one WAL frame, all or nothing;
 //! - `install` — the only place a seal is installed: sealed
 //!   blob → TPM counter replay → unseal → package cache rebuilt for
-//!   exactly the hashes the *unsealed* indexes pin, each blob from the
-//!   push or else the store.
+//!   exactly the *unsealed* indexes' `TsrRepository::pins`, each blob
+//!   from the push or else the store. The cache, the store and the push
+//!   are all keyed by content hash, so no name is consulted.
 //!
 //! A refresh is `commit(image_of(..))`; crash recovery
 //! ([`TsrService::with_store`]) and [`TsrService::crash_restart`] are one
@@ -35,16 +36,6 @@ use crate::policy::Policy;
 use crate::repository::TsrRepository;
 use crate::service::{live, lock, seal_err, store_err, TsrService};
 
-/// The `(package, content hash, is_sanitized)` triples one index pins.
-fn pins(
-    idx: Option<&Index>,
-    is_sanitized: bool,
-) -> impl Iterator<Item = (String, String, bool)> + '_ {
-    idx.into_iter()
-        .flat_map(Index::iter)
-        .map(move |e| (e.name.clone(), e.content_hash.clone(), is_sanitized))
-}
-
 /// The image of `repo` as it stands: policy, index texts, the sealed
 /// metadata with `seal_counter` (the TPM counter value it is bound to), and
 /// every cached blob the upstream index names (deduplicated by content
@@ -57,7 +48,7 @@ pub(crate) fn image_of(repo: &TsrRepository, seal_counter: u64) -> ReplicatedSta
     let mut have = std::collections::BTreeSet::new();
     for entry in upstream.into_iter().flat_map(|idx| idx.iter()) {
         // Policy-excluded packages were never downloaded.
-        let Some(orig) = repo.cache().original(&entry.name) else {
+        let Some(orig) = repo.cache().get(&entry.content_hash) else {
             continue;
         };
         if have.insert(entry.content_hash.clone()) {
@@ -69,7 +60,7 @@ pub(crate) fn image_of(repo: &TsrRepository, seal_counter: u64) -> ReplicatedSta
             .map(|e| e.content_hash.clone())
             .unwrap_or_default();
         if !shash.is_empty() && have.insert(shash.clone()) {
-            if let Some(san) = repo.cache().sanitized(&entry.name) {
+            if let Some(san) = repo.cache().get(&shash) {
                 blobs.push((shash.clone(), Arc::clone(san)));
             }
         }
@@ -162,11 +153,11 @@ impl TsrService {
     /// monotonic counter up to `counter` (a fresh counter starts at 0 and
     /// the unseal check requires hardware == sealed), unseals and
     /// re-signs, then rebuilds the package cache to hold exactly the
-    /// content hashes pinned in the *just-unsealed* indexes — each blob
-    /// from `pushed`, else read (and verified) from the local blob store,
-    /// which keeps no copy: the cache is the resident holder. Nothing the
-    /// sender says about which hash belongs to which package is used: the
-    /// seal is the only durable copy of the indexes, locally as in a push.
+    /// *just-unsealed* indexes' [`TsrRepository::pins`] — each blob from
+    /// `pushed`, else read (and verified) from the local blob store, which
+    /// keeps no copy: the cache is the resident holder. Nothing the sender
+    /// says about which hash belongs to which package is used: the seal is
+    /// the only durable copy of the indexes, locally as in a push.
     ///
     /// # Errors
     ///
@@ -196,30 +187,23 @@ impl TsrService {
         let pushed: BTreeMap<&str, &Arc<[u8]>> =
             pushed.iter().map(|(h, b)| (h.as_str(), b)).collect();
         let mut cache = PackageCache::new();
-        for (name, hash, is_sanitized) in
-            pins(repo.upstream_index(), false).chain(pins(repo.sanitized_index(), true))
-        {
+        for hash in repo.pins() {
             let blob = match pushed.get(hash.as_str()) {
-                Some(blob) => Some(Arc::clone(blob)),
+                Some(blob) => Arc::clone(blob),
                 // One store-lock hold per blob, so other tenants' commits
                 // and seal reads interleave with a long cache rebuild.
                 None => {
                     let eng = lock(&self.shared.store);
-                    if eng.has_blob(&hash) {
-                        Some(eng.get_blob(&hash).map_err(store_err)?)
-                    } else {
-                        None
+                    // Policy-excluded upstream entries were never
+                    // downloaded; anything else missing re-downloads on
+                    // the next refresh.
+                    if !eng.has_blob(&hash) {
+                        continue;
                     }
+                    eng.get_blob(&hash).map_err(store_err)?
                 }
             };
-            // Policy-excluded upstream entries were never downloaded;
-            // anything else missing re-downloads on the next refresh.
-            let Some(blob) = blob else { continue };
-            if is_sanitized {
-                cache.store_sanitized(&name, blob);
-            } else {
-                cache.store_original(&name, blob);
-            }
+            cache.insert(&hash, blob);
         }
         *repo.cache_mut() = cache;
         Ok(())
@@ -352,36 +336,44 @@ mod tests {
         etag: String,
         /// `(package, served bytes)` for every package of the index.
         packages: Vec<(String, Vec<u8>)>,
-        /// `(package, cached original hash, cached sanitized hash)` for
-        /// every upstream entry, and the cache's entry counts.
-        cached: Vec<(String, Option<String>, Option<String>)>,
-        cache_entries: (usize, usize),
+        /// `(pinned hash, hash of the cached bytes)` for every pin, and
+        /// the cache's entry count.
+        cached: Vec<(String, Option<String>)>,
+        cache_entries: usize,
+    }
+
+    /// The content hash the sanitized index pins for `name`.
+    fn pinned(repo: &TsrRepository, name: &str) -> String {
+        let entry = repo.sanitized_index().unwrap().get(name).unwrap();
+        entry.content_hash.clone()
+    }
+
+    /// The cached blob the sanitized index pins for `name`.
+    fn cached(repo: &TsrRepository, name: &str) -> Arc<[u8]> {
+        Arc::clone(repo.cache().get(&pinned(repo, name)).unwrap())
     }
 
     fn served(svc: &TsrService, id: &str) -> Served {
         let digest = |b: Option<&Arc<[u8]>>| b.map(|b| hex::to_hex(&tsr_crypto::Sha256::digest(b)));
-        let names = |idx: Option<&Index>| -> Vec<String> {
-            idx.into_iter()
-                .flat_map(Index::iter)
-                .map(|e| e.name.clone())
-                .collect()
-        };
         svc.with_repository(id, |repo| Served {
             index: repo.serve_index().unwrap(),
             etag: repo.signed_index_etag().unwrap().to_string(),
-            packages: names(repo.sanitized_index())
-                .into_iter()
-                .map(|n| (n.clone(), repo.serve_package(&n).unwrap().to_vec()))
+            packages: repo
+                .sanitized_index()
+                .unwrap()
+                .iter()
+                .map(|e| &e.name)
+                .map(|n| (n.clone(), repo.serve_package(n).unwrap().to_vec()))
                 .collect(),
-            cached: names(repo.upstream_index())
+            cached: repo
+                .pins()
                 .into_iter()
-                .map(|n| {
-                    let original = digest(repo.cache().original(&n));
-                    let sanitized = digest(repo.cache().sanitized(&n));
-                    (n, original, sanitized)
+                .map(|h| {
+                    let got = digest(repo.cache().get(&h));
+                    (h, got)
                 })
                 .collect(),
-            cache_entries: repo.cache().stats(),
+            cache_entries: repo.cache().len(),
         })
         .unwrap()
     }
@@ -573,8 +565,8 @@ mod tests {
         svc.refresh(&id).unwrap();
         let pkg = svc.fetch_package(&id, "tool").unwrap();
         // No GET through `handle`, so the serve cache holds nothing.
-        let sanitized = |repo: &TsrRepository| Arc::clone(repo.cache().sanitized("tool").unwrap());
-        let before = Arc::downgrade(&svc.with_repository(&id, sanitized).unwrap());
+        let tool = |repo: &TsrRepository| cached(repo, "tool");
+        let before = Arc::downgrade(&svc.with_repository(&id, tool).unwrap());
         for (_, outcome) in svc.crash_restart() {
             outcome.unwrap();
         }
@@ -589,8 +581,8 @@ mod tests {
         svc.refresh(&id).unwrap();
         let pkg = svc.fetch_package(&id, "tool").unwrap();
         svc.with_repository_mut(&id, |repo| {
-            let evil: Arc<[u8]> = Arc::from(b"evil".to_vec().into_boxed_slice());
-            repo.cache_mut().store_sanitized("tool", evil);
+            let hash = pinned(repo, "tool");
+            repo.cache_mut().insert(&hash, b"evil".to_vec());
         })
         .unwrap();
         assert!(matches!(
@@ -611,14 +603,7 @@ mod tests {
         svc.refresh(&id).unwrap();
         let pkg = svc.fetch_package(&id, "tool").unwrap();
         let hash = svc
-            .with_repository(&id, |repo| {
-                repo.sanitized_index()
-                    .unwrap()
-                    .get("tool")
-                    .unwrap()
-                    .content_hash
-                    .clone()
-            })
+            .with_repository(&id, |repo| pinned(repo, "tool"))
             .unwrap();
         let flipped = {
             let path = format!("/store/blobs/{}/{hash}", &hash[..2]);
@@ -671,7 +656,7 @@ mod tests {
         replica
             .apply_replicated_state(&primary.export_replicated_state(&id).unwrap())
             .unwrap();
-        assert_eq!(served(&replica, &id).cache_entries, (2, 2));
+        assert_eq!(served(&replica, &id).cache_entries, 4);
 
         publish(&[("tool", "1.0")], 3);
         primary.refresh(&id).unwrap();
@@ -686,8 +671,8 @@ mod tests {
         let (svc, _) = stored_service(&Arc::new(Mutex::new(SimFs::new())));
         let (id, _) = svc.create_repository(&policy_text()).unwrap();
         svc.refresh(&id).unwrap();
-        let sanitized = |repo: &TsrRepository| Arc::clone(repo.cache().sanitized("tool").unwrap());
-        let old = Arc::downgrade(&svc.with_repository(&id, sanitized).unwrap());
+        let tool = |repo: &TsrRepository| cached(repo, "tool");
+        let old = Arc::downgrade(&svc.with_repository(&id, tool).unwrap());
         // Served once, the serve cache holds the same allocation.
         let get = tsr_http::Request {
             method: "GET".into(),
@@ -700,7 +685,7 @@ mod tests {
 
         svc.with_mirrors(|ms| tsr_mirror::publish_to_all(ms, &snapshot(2, &[("tool", "1.1")])));
         svc.refresh(&id).unwrap();
-        let new = svc.with_repository(&id, sanitized).unwrap();
+        let new = svc.with_repository(&id, tool).unwrap();
         assert!(old.upgrade().is_none(), "the 1.0 blob is still resident");
         assert_eq!(svc.fetch_package(&id, "tool").unwrap()[..], new[..]);
     }

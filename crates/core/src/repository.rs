@@ -148,7 +148,7 @@ impl TsrRepository {
         &self.rejected
     }
 
-    /// The cache (benchmarks inspect its statistics).
+    /// The package cache (the paper bins read originals from it).
     pub fn cache(&self) -> &PackageCache {
         &self.cache
     }
@@ -214,31 +214,28 @@ impl TsrRepository {
         //    Each download gets its own DRBG derived *sequentially* from
         //    the caller's, so mirror selection jitter is independent of
         //    how the downloads are later scheduled across workers.
-        let downloads: Vec<(String, HmacDrbg)> = new_index
+        let downloads: Vec<(&IndexEntry, HmacDrbg)> = new_index
             .iter()
             .filter(|e| {
                 self.policy.permits_package(&e.name)
-                    && !self.cache.original_matches(&e.name, &e.content_hash)
+                    && self.cache.verified(&e.content_hash).is_err()
             })
             .map(|e| {
                 let mut seed = rng.bytes(32);
                 seed.extend_from_slice(e.name.as_bytes());
-                (e.name.clone(), HmacDrbg::new(&seed))
+                (e, HmacDrbg::new(&seed))
             })
             .collect();
-        let fetched = parallel_map_ordered(&downloads, workers, |_, (name, drbg)| {
+        let fetched = parallel_map_ordered(&downloads, workers, |_, (entry, drbg)| {
             let mut drbg = drbg.clone();
-            fetch_package_verified(mirrors, name, &new_index, &qcfg, model, &mut drbg)
+            fetch_package_verified(mirrors, &entry.name, &new_index, &qcfg, model, &mut drbg)
         });
-        for ((name, _), result) in downloads.iter().zip(fetched) {
+        for ((entry, _), result) in downloads.iter().zip(fetched) {
             let (blob, elapsed) = result?;
             report.download_elapsed += elapsed;
             report.downloaded += 1;
-            self.cache.store_original(name, blob);
+            self.cache.insert(&entry.content_hash, blob);
         }
-        // Drop cache entries for packages that disappeared upstream.
-        let keep: BTreeSet<String> = new_index.iter().map(|e| e.name.clone()).collect();
-        self.cache.retain(|n| keep.contains(n));
 
         // 4. Rebuild the user/group universe over the whole repository,
         //    folded in index order to keep id assignment stable. Only
@@ -247,7 +244,7 @@ impl TsrRepository {
         let cached: Vec<(&str, &[u8])> = new_index
             .iter()
             .filter_map(|e| {
-                let blob = self.cache.original(&e.name)?;
+                let blob = self.cache.get(&e.content_hash)?;
                 Some((e.name.as_str(), &blob[..]))
             })
             .collect();
@@ -306,7 +303,7 @@ impl TsrRepository {
             // a blob that is not the pinned one is caught when served.
             let kept = !upstream_changed
                 && !needs_account_refresh
-                && self.cache.sanitized(&entry.name).is_some();
+                && prev.is_some_and(|p| self.cache.get(&p.content_hash).is_some());
             if let (Some(prev), true) = (prev, kept) {
                 sanitized_index.upsert(IndexEntry {
                     version: entry.version.clone(),
@@ -315,7 +312,7 @@ impl TsrRepository {
                 });
                 continue;
             }
-            let Some(original) = self.cache.original(&entry.name) else {
+            let Some(original) = self.cache.get(&entry.content_hash) else {
                 continue;
             };
             meta.push((
@@ -331,14 +328,12 @@ impl TsrRepository {
         for ((name, version, depends), result) in meta.into_iter().zip(results) {
             match result {
                 Ok((blob, record)) => {
-                    sanitized_index.upsert(Index::entry_for_blob(&name, &version, &depends, &blob));
-                    self.cache.store_sanitized(&name, blob);
+                    let entry = Index::entry_for_blob(&name, &version, &depends, &blob);
+                    self.cache.insert(&entry.content_hash, blob);
+                    sanitized_index.upsert(entry);
                     report.sanitized.push(record);
                 }
-                Err(CoreError::Unsupported(e)) => {
-                    self.cache.invalidate_sanitized(&name);
-                    self.rejected.push((name, e.to_string()));
-                }
+                Err(CoreError::Unsupported(e)) => self.rejected.push((name, e.to_string())),
                 Err(e) => return Err(e),
             }
         }
@@ -351,7 +346,24 @@ impl TsrRepository {
         self.upstream_index = Some(new_index);
         self.sanitized_index = Some(sanitized_index);
         self.sanitizer = Some(sanitizer);
+        // 7. Only now, with the new indexes in place, drop what they no
+        //    longer pin: a refresh that failed above left the old indexes
+        //    serving, and every blob they pin with them.
+        let keep = self.pins();
+        self.cache.retain(|hash| keep.contains(hash));
         Ok(report)
+    }
+
+    /// The content hashes the upstream and sanitized indexes pin: the
+    /// package cache's one retention rule, so exactly what it holds after
+    /// a refresh or an install (less what was never downloaded).
+    pub(crate) fn pins(&self) -> BTreeSet<String> {
+        [&self.upstream_index, &self.sanitized_index]
+            .into_iter()
+            .flatten()
+            .flat_map(Index::iter)
+            .map(|e| e.content_hash.clone())
+            .collect()
     }
 
     /// Serves the signed sanitized metadata index.
@@ -393,9 +405,7 @@ impl TsrRepository {
         let entry = idx
             .get(name)
             .ok_or_else(|| CoreError::NotFound(format!("package {name}")))?;
-        self.cache
-            .sanitized_verified(name, &entry.content_hash)
-            .cloned()
+        self.cache.verified(&entry.content_hash).cloned()
     }
 
     /// The sanitized index (after a refresh).
@@ -808,12 +818,19 @@ mod tests {
         ));
     }
 
+    /// The content hash the sanitized index pins for `name`.
+    fn pinned(repo: &TsrRepository, name: &str) -> String {
+        let entry = repo.sanitized_index().unwrap().get(name).unwrap();
+        entry.content_hash.clone()
+    }
+
     #[test]
     fn cache_tamper_detected_on_serve() {
         let mut w = World::new();
         let mut repo = w.repo();
         w.refresh(&mut repo).unwrap();
-        repo.cache_mut().store_sanitized("plain", vec![0u8; 10]);
+        let hash = pinned(&repo, "plain");
+        repo.cache_mut().insert(&hash, vec![0u8; 10]);
         assert!(matches!(
             repo.serve_package("plain"),
             Err(CoreError::RollbackDetected(_))
@@ -831,7 +848,7 @@ mod tests {
             .get("plain")
             .unwrap()
             .clone();
-        repo.cache_mut().store_sanitized("plain", vec![0u8; 10]);
+        repo.cache_mut().insert(&pinned.content_hash, vec![0u8; 10]);
         // The refresh keeps `plain` (nothing changed upstream): the entry
         // it signs is the one the previous index pinned, whatever the
         // untrusted cache holds now.
@@ -842,6 +859,40 @@ mod tests {
             repo.serve_package("plain"),
             Err(CoreError::RollbackDetected(_))
         ));
+    }
+
+    #[test]
+    fn a_rejected_new_version_is_neither_served_nor_kept() {
+        let mut w = World::new();
+        let mut repo = w.repo();
+        w.refresh(&mut repo).unwrap();
+        let old = Arc::downgrade(&repo.serve_package("plain").unwrap());
+        // `plain` 1.1 adds a script the sanitizer cannot rewrite.
+        publish_to_all(
+            &mut w.mirrors,
+            &snapshot(
+                2,
+                &[
+                    ("plain", "1.1", Some("echo x >> /etc/evil.conf")),
+                    (
+                        "websrv",
+                        "2.0",
+                        Some("adduser -S -D -H www\nmkdir -p /var/www"),
+                    ),
+                ],
+            ),
+        );
+        let report = w.refresh(&mut repo).unwrap();
+        assert_eq!(report.rejected.len(), 1);
+        assert_eq!(report.rejected[0].0, "plain");
+        assert!(matches!(
+            repo.serve_package("plain"),
+            Err(CoreError::NotFound(_))
+        ));
+        assert!(
+            old.upgrade().is_none(),
+            "the 1.0 sanitized blob is resident"
+        );
     }
 
     #[test]

@@ -218,10 +218,11 @@ impl PackageSanitizer {
         // Phase: check integrity & authenticity. Header-signature
         // verification has constant cost; the data segment's hash was
         // already verified against the quorum-agreed metadata index when
-        // the blob entered the cache (fetch_package_verified /
-        // original_matches), so the linear-cost hashing is attributed to
-        // the download — matching the paper's pipeline, where the
-        // check-integrity share *shrinks* as packages grow (Table 4).
+        // the blob entered the cache (fetch_package_verified, or the
+        // cache's verified read that skips the download), so the
+        // linear-cost hashing is attributed to the download — matching
+        // the paper's pipeline, where the check-integrity share *shrinks*
+        // as packages grow (Table 4).
         let t = Instant::now();
         pkg.verify_any_signature(trusted_upstream)?;
         timings.check_integrity = t.elapsed();

@@ -996,6 +996,39 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_failed_refresh_keeps_serving_the_index_it_left_in_place() {
+        let svc = service();
+        svc.with_mirrors(|ms| {
+            publish_to_all(ms, &snapshot(2, &[("tool", "1.0"), ("extra", "1.0")]));
+        });
+        let (id, _) = svc.create_repository(&policy_text()).unwrap();
+        svc.refresh(&id).unwrap();
+        let index = svc.fetch_index(&id).unwrap();
+        let extra = svc.fetch_package(&id, "extra").unwrap();
+
+        // Snapshot 3 drops `extra` and adds `rogue`, signed by a key the
+        // policy does not trust: the refresh downloads it, then fails.
+        let mut next = snapshot(3, &[("tool", "1.0")]);
+        let trusted = [("builder".to_string(), upstream_key().public_key().clone())];
+        let mut index3 = Index::parse_signed(&next.signed_index, &trusted).unwrap();
+        let rogue_key = RsaPrivateKey::generate(1024, &mut HmacDrbg::new(b"svc-rogue"));
+        let mut b = PackageBuilder::new("rogue", "1.0");
+        b.file(Entry::file("usr/bin/rogue", b"rogue-bytes".to_vec()));
+        let rogue = b.build(&rogue_key, "builder");
+        index3.upsert(Index::entry_for_blob("rogue", "1.0", &[], &rogue));
+        next.signed_index = index3.sign(upstream_key(), "builder");
+        next.packages.insert("rogue".to_string(), rogue);
+        svc.with_mirrors(|ms| publish_to_all(ms, &next));
+        let err = svc.refresh(&id).unwrap_err();
+        assert!(matches!(err, CoreError::Package(_)), "{err:?}");
+
+        // The old index is still the one served, and so is every package
+        // it lists.
+        assert_eq!(svc.fetch_index(&id).unwrap(), index);
+        assert_eq!(svc.fetch_package(&id, "extra").unwrap(), extra);
+    }
+
+    #[test]
     fn attestation_report_verifies() {
         let svc = service();
         let (mr, data, sig) = svc.attestation_report(b"nonce!");

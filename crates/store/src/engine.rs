@@ -3,7 +3,8 @@
 //! The engine keeps no blob resident: a put writes through to a file, a
 //! get streams the file back and verifies it against the hash it is
 //! stored under, every time. Who holds the bytes afterwards is the
-//! caller's business (`tsr-core`'s `PackageCache`).
+//! caller's business (`tsr-core`'s `PackageCache`, keyed by the same
+//! content hash).
 //!
 //! The metadata state is small: per repository, the policy text and the
 //! sealed blob with its TPM counter value. The seal is the only durable

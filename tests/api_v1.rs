@@ -184,9 +184,12 @@ fn error_statuses_are_stable_and_distinct() {
     let (id, _) = svc.create_repository(&policy_text()).unwrap();
     svc.refresh(&id).unwrap();
 
-    // Tamper the sanitized cache: serving must yield rollback_detected.
+    // Tamper the cached blob the index pins: serving must yield
+    // rollback_detected.
     svc.with_repository_mut(&id, |repo| {
-        repo.cache_mut().store_sanitized("tool", vec![0u8; 16]);
+        let hash = repo.sanitized_index().unwrap().get("tool").unwrap();
+        let hash = hash.content_hash.clone();
+        repo.cache_mut().insert(&hash, vec![0u8; 16]);
     })
     .unwrap();
 
@@ -227,12 +230,11 @@ fn error_statuses_are_stable_and_distinct() {
     // Refresh rollback (stale mirror majority) → 409 as well: advance to
     // snapshot 2 first, then have every mirror replay snapshot 1.
     svc.with_mirrors(|ms| publish_to_all(ms, &snapshot(2, &["tool"])));
-    svc.with_repository_mut(&id, |repo| {
-        // Heal the cache tampering above so the refresh reaches the
-        // quorum-read phase.
-        repo.cache_mut().invalidate_sanitized("tool");
-    })
-    .unwrap();
+    // Heal the cache tampering above: a restart refills the cache from
+    // the store, which holds the honest blob.
+    for (_, outcome) in svc.crash_restart() {
+        outcome.unwrap();
+    }
     svc.refresh(&id).unwrap();
     svc.with_mirrors(|ms| {
         for m in ms.iter_mut() {

@@ -151,18 +151,11 @@ fn offline_mirrors_tolerated() {
 fn disk_tamper_on_cache_detected_at_serve_time() {
     let mut w = World::new(b"atk-disk");
     w.refresh().unwrap();
-    let victim = w
-        .repo
-        .sanitized_index()
-        .unwrap()
-        .iter()
-        .next()
-        .unwrap()
-        .name
-        .clone();
+    let victim = w.repo.sanitized_index().unwrap().iter().next().unwrap();
+    let (victim, pinned) = (victim.name.clone(), victim.content_hash.clone());
     // Root on the TSR host rewrites the cached sanitized package.
     let evil = w.upstream.blobs[&victim].clone(); // valid-looking bytes
-    w.repo.cache_mut().store_sanitized(&victim, evil);
+    w.repo.cache_mut().insert(&pinned, evil);
     assert!(matches!(
         w.repo.serve_package(&victim),
         Err(CoreError::RollbackDetected(_))
