@@ -211,7 +211,8 @@ impl Index {
         blob: &[u8],
         keys: &[(String, RsaPublicKey)],
     ) -> Result<Self, PackageError> {
-        let (sig_bytes, sig_len) = gzip::decompress_member(blob)?;
+        let (sig_bytes, sig_len) =
+            gzip::decompress_member_capped(blob, crate::package::SIGNATURE_SEGMENT_CAP)?;
         let index_segment = &blob[sig_len..];
         if index_segment.is_empty() {
             return Err(PackageError::Malformed("missing index segment".into()));
@@ -359,6 +360,15 @@ mod tests {
         let n = bad.len();
         bad[n - 20] ^= 0x40;
         assert!(Index::parse_signed(&bad, &keys).is_err());
+    }
+
+    #[test]
+    fn a_signature_member_bomb_stops_at_the_cap() {
+        // Each mirror reply is parsed before its signature is checked.
+        let mut blob = crate::package::tests::inflation_bomb(4_000);
+        blob.extend_from_slice(&gzip::compress(b"any index segment"));
+        let keys = vec![("t".to_string(), key().public_key().clone())];
+        crate::package::tests::assert_capped(Index::parse_signed(&blob, &keys));
     }
 
     #[test]

@@ -24,6 +24,12 @@ use tsr_crypto::{hex, RsaPrivateKey, RsaPublicKey, Sha256};
 /// Prefix of the signature file inside the signature segment.
 pub const SIGN_PREFIX: &str = ".SIGN.RSA.";
 
+/// Most bytes a signature segment may inflate to. It holds one tar entry
+/// with one signature of at most 512 bytes, about 2 KiB in all, and it is
+/// inflated before anything is verified, so this bounds what unauthenticated
+/// bytes can make a reader allocate.
+pub(crate) const SIGNATURE_SEGMENT_CAP: usize = 64 * 1024;
+
 /// A parsed package.
 #[derive(Debug, Clone)]
 pub struct Package {
@@ -60,7 +66,8 @@ impl Head {
     /// Parses the first two segments of `blob` and checks that a data
     /// segment follows them, without decompressing it.
     fn parse(blob: &[u8]) -> Result<Self, PackageError> {
-        let (sig_bytes, control_start) = gzip::decompress_member(blob)?;
+        let (sig_bytes, control_start) =
+            gzip::decompress_member_capped(blob, SIGNATURE_SEGMENT_CAP)?;
         let (control_bytes, control_len) = gzip::decompress_member(&blob[control_start..])?;
         let data_start = control_start + control_len;
         if data_start == blob.len() {
@@ -342,9 +349,12 @@ pub fn build_from_parts(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::OnceLock;
+    use tsr_compress::bitio::BitWriter;
+    use tsr_compress::crc32::Crc32;
+    use tsr_compress::CompressError;
     use tsr_crypto::drbg::HmacDrbg;
 
     pub(crate) fn test_key() -> &'static RsaPrivateKey {
@@ -353,6 +363,38 @@ mod tests {
             let mut rng = HmacDrbg::new(b"apk-test-key");
             RsaPrivateKey::generate(1024, &mut rng)
         })
+    }
+
+    /// A gzip member of `1 + 258 · reps` zero bytes in about `13 · reps / 8`
+    /// bytes: one literal 0, then `reps` matches of length 258 at distance
+    /// 1, with a valid CRC and ISIZE.
+    pub(crate) fn inflation_bomb(reps: usize) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        w.write_bits(1, 1); // BFINAL
+        w.write_bits(1, 2); // fixed Huffman
+        w.write_code(0x30, 8); // literal 0
+        for _ in 0..reps {
+            w.write_code(0xc5, 8); // length 258 (symbol 285)
+            w.write_code(0, 5); // distance 1
+        }
+        w.write_code(0, 7); // end of block
+        let len = 1 + 258 * reps;
+        let mut gz = vec![0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 255];
+        gz.extend_from_slice(&w.finish());
+        gz.extend_from_slice(&Crc32::checksum(&vec![0; len]).to_le_bytes());
+        gz.extend_from_slice(&(len as u32).to_le_bytes());
+        gz
+    }
+
+    /// Asserts `result` is the signature segment's inflation cap.
+    pub(crate) fn assert_capped<T: std::fmt::Debug>(result: Result<T, PackageError>) {
+        assert!(
+            matches!(
+                result,
+                Err(PackageError::Compression(CompressError::OutputTooLarge))
+            ),
+            "{result:?}"
+        );
     }
 
     fn sample_blob() -> Vec<u8> {
@@ -496,6 +538,20 @@ mod tests {
         bad.extend_from_slice(b"not gzip");
         assert!(Package::parse(&bad).is_err());
         assert_eq!(read_scripts(&bad).unwrap(), pkg.scripts);
+    }
+
+    #[test]
+    fn a_signature_segment_bomb_stops_at_the_cap() {
+        let bomb = inflation_bomb(4_000);
+        // Valid gzip: 6.5 KB that inflates to 1 MB.
+        let (zeros, _) = gzip::decompress_member(&bomb).unwrap();
+        assert!(zeros.len() > 1_000 * 1_000);
+        let pkg = Package::parse(&sample_blob()).unwrap();
+        let mut blob = bomb;
+        blob.extend_from_slice(&pkg.control_segment);
+        blob.extend_from_slice(&pkg.data_segment);
+        assert_capped(Package::parse(&blob));
+        assert_capped(read_scripts(&blob));
     }
 
     #[test]

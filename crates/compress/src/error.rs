@@ -14,6 +14,8 @@ pub enum CompressError {
     InvalidGzipHeader(String),
     /// The gzip CRC32 or length trailer did not match the decompressed data.
     ChecksumMismatch,
+    /// The decompressed output would pass the caller's size limit.
+    OutputTooLarge,
 }
 
 impl fmt::Display for CompressError {
@@ -23,6 +25,7 @@ impl fmt::Display for CompressError {
             CompressError::InvalidStream(msg) => write!(f, "invalid deflate stream: {msg}"),
             CompressError::InvalidGzipHeader(msg) => write!(f, "invalid gzip header: {msg}"),
             CompressError::ChecksumMismatch => write!(f, "gzip checksum mismatch"),
+            CompressError::OutputTooLarge => write!(f, "decompressed output exceeds its limit"),
         }
     }
 }

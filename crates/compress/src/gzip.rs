@@ -55,6 +55,21 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CompressError> {
 ///
 /// Same as [`decompress`].
 pub fn decompress_member(data: &[u8]) -> Result<(Vec<u8>, usize), CompressError> {
+    decompress_member_capped(data, usize::MAX)
+}
+
+/// [`decompress_member`] for untrusted input whose decompressed size has a
+/// known bound: inflation stops at `cap` bytes, so a small member cannot
+/// expand into a large allocation before anything checks it.
+///
+/// # Errors
+///
+/// [`CompressError::OutputTooLarge`] once the output would pass `cap`
+/// bytes; otherwise the same as [`decompress`].
+pub fn decompress_member_capped(
+    data: &[u8],
+    cap: usize,
+) -> Result<(Vec<u8>, usize), CompressError> {
     if data.len() < 10 {
         return Err(CompressError::InvalidGzipHeader("too short".into()));
     }
@@ -89,7 +104,7 @@ pub fn decompress_member(data: &[u8]) -> Result<(Vec<u8>, usize), CompressError>
     if pos > data.len() {
         return Err(CompressError::UnexpectedEof);
     }
-    let (out, consumed) = inflate::decompress_with_consumed(&data[pos..])?;
+    let (out, consumed) = inflate::decompress_capped(&data[pos..], cap)?;
     let trailer_at = pos + consumed;
     if data.len() < trailer_at + 8 {
         return Err(CompressError::UnexpectedEof);
@@ -182,6 +197,29 @@ mod tests {
         let (out, used) = decompress_member(&gz).unwrap();
         assert_eq!(out, b"abc");
         assert_eq!(used, gz.len());
+    }
+
+    #[test]
+    fn capped_member_stops_just_past_the_cap() {
+        let zeros = vec![0u8; 100_000];
+        let mut state = 0x1234_5678u32;
+        let random: Vec<u8> = (0..100_000)
+            .map(|_| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (state >> 24) as u8
+            })
+            .collect();
+        // A fixed-Huffman block (BTYPE 1), then stored blocks (BTYPE 0).
+        for (data, btype) in [(zeros, 1), (random, 0)] {
+            let gz = compress(&data);
+            assert_eq!((gz[10] >> 1) & 0b11, btype);
+            let (out, used) = decompress_member_capped(&gz, data.len()).unwrap();
+            assert_eq!((out, used), (data.clone(), gz.len()));
+            assert_eq!(
+                decompress_member_capped(&gz, data.len() - 1),
+                Err(CompressError::OutputTooLarge)
+            );
+        }
     }
 
     #[test]

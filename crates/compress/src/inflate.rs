@@ -136,21 +136,31 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
 ///
 /// Returns [`CompressError`] on malformed input or premature end of stream.
 pub fn decompress_with_consumed(input: &[u8]) -> Result<(Vec<u8>, usize), CompressError> {
+    decompress_capped(input, usize::MAX)
+}
+
+/// [`decompress_with_consumed`], failing with
+/// [`CompressError::OutputTooLarge`] as soon as the output would pass `cap`
+/// bytes.
+pub(crate) fn decompress_capped(
+    input: &[u8],
+    cap: usize,
+) -> Result<(Vec<u8>, usize), CompressError> {
     let mut r = BitReader::new(input);
-    let mut out = Vec::with_capacity(input.len() * 3);
+    let mut out = Vec::with_capacity(input.len().saturating_mul(3).min(cap));
     loop {
         let bfinal = r.read_bit()?;
         let btype = r.read_bits(2)?;
         match btype {
-            0 => inflate_stored(&mut r, &mut out)?,
+            0 => inflate_stored(&mut r, &mut out, cap)?,
             1 => {
                 let lit = Huffman::new(&fixed_literal_lengths())?;
                 let dist = Huffman::new(&fixed_distance_lengths())?;
-                inflate_block(&mut r, &mut out, &lit, &dist)?;
+                inflate_block(&mut r, &mut out, cap, &lit, &dist)?;
             }
             2 => {
                 let (lit, dist) = read_dynamic_tables(&mut r)?;
-                inflate_block(&mut r, &mut out, &lit, &dist)?;
+                inflate_block(&mut r, &mut out, cap, &lit, &dist)?;
             }
             _ => return Err(CompressError::InvalidStream("reserved block type".into())),
         }
@@ -161,7 +171,19 @@ pub fn decompress_with_consumed(input: &[u8]) -> Result<(Vec<u8>, usize), Compre
     Ok((out, r.bytes_consumed()))
 }
 
-fn inflate_stored(r: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<(), CompressError> {
+/// Fails unless `out` can grow by `more` bytes without passing `cap`.
+fn reserve(out: &[u8], more: usize, cap: usize) -> Result<(), CompressError> {
+    if more > cap - out.len() {
+        return Err(CompressError::OutputTooLarge);
+    }
+    Ok(())
+}
+
+fn inflate_stored(
+    r: &mut BitReader<'_>,
+    out: &mut Vec<u8>,
+    cap: usize,
+) -> Result<(), CompressError> {
     r.align_byte();
     let header = r.read_bytes(4)?;
     let len = u16::from_le_bytes([header[0], header[1]]);
@@ -171,6 +193,7 @@ fn inflate_stored(r: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<(), Compre
             "stored length mismatch".into(),
         ));
     }
+    reserve(out, len as usize, cap)?;
     out.extend_from_slice(r.read_bytes(len as usize)?);
     Ok(())
 }
@@ -240,13 +263,17 @@ fn repeat(lengths: &mut [u8], i: &mut usize, value: u8, rep: usize) -> Result<()
 fn inflate_block(
     r: &mut BitReader<'_>,
     out: &mut Vec<u8>,
+    cap: usize,
     lit: &Huffman,
     dist: &Huffman,
 ) -> Result<(), CompressError> {
     loop {
         let sym = lit.decode(r)?;
         match sym {
-            0..=255 => out.push(sym as u8),
+            0..=255 => {
+                reserve(out, 1, cap)?;
+                out.push(sym as u8);
+            }
             256 => return Ok(()),
             257..=285 => {
                 let idx = (sym - 257) as usize;
@@ -262,6 +289,7 @@ fn inflate_block(
                         "distance beyond output".into(),
                     ));
                 }
+                reserve(out, len, cap)?;
                 let start = out.len() - d;
                 // Overlapping copy: must be byte-by-byte.
                 for k in 0..len {

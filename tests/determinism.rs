@@ -5,13 +5,16 @@
 
 use proptest::prelude::*;
 
-use tsr::core::{InitConfigFile, MirrorRef, PackageSanitizer, Policy};
+use tsr::core::{InitConfigFile, MirrorRef, PackageSanitizer, Policy, TsrService};
 use tsr::crypto::drbg::HmacDrbg;
-use tsr::crypto::RsaPrivateKey;
+use tsr::crypto::{hex, RsaPrivateKey, RsaPublicKey, Sha256};
+use tsr::mirror::{publish_to_all, Mirror};
+use tsr::net::{Continent, LatencyModel};
 use tsr::pkgmgr::interp::run_script;
 use tsr::pkgmgr::TrustedOs;
 use tsr::script::UserGroupUniverse;
 use tsr::simfs::SimFs;
+use tsr::workload::{GeneratedRepo, WorkloadConfig};
 
 use std::sync::OnceLock;
 
@@ -198,4 +201,38 @@ fn attestation_agrees_across_machines_with_same_history() {
         os.tpm.read_pcr(tsr::tpm::IMA_PCR).unwrap()
     };
     assert_eq!(run(b"machine-1"), run(b"machine-2"));
+}
+
+/// SHA-256 over the signed index and every sanitized package, in index
+/// order, of a tiny world that one refresh syncs. Sanitizing re-gzips and
+/// re-signs every package, so this pins the bytes TSR emits *across
+/// commits*: a change to deflate, the signer or the sanitizer that alters
+/// one byte fails here, and the literal changes only on purpose.
+#[test]
+fn sanitized_bytes_are_pinned() {
+    let upstream = GeneratedRepo::generate(WorkloadConfig::tiny(b"pinned"));
+    let mut mirrors = vec![Mirror::new("m", Continent::Europe)];
+    publish_to_all(&mut mirrors, &upstream.snapshot());
+    let service = TsrService::new(b"pinned", mirrors, LatencyModel::default(), 1024);
+    let mut policy = policy();
+    policy.signers_keys = vec![upstream.signing_key.public_key().clone()];
+    let (id, pem) = service.create_repository(&policy.to_text()).unwrap();
+    service.refresh(&id).unwrap();
+
+    let signed = service.fetch_index(&id).unwrap();
+    let key = RsaPublicKey::from_pem(&pem).unwrap();
+    let index = tsr::apk::Index::parse_signed(&signed, &[(format!("tsr-{id}"), key)]).unwrap();
+    assert!(
+        index.len() > 10,
+        "the world syncs: {} packages",
+        index.len()
+    );
+    let mut all = signed;
+    for entry in index.iter() {
+        all.extend(service.fetch_package(&id, &entry.name).unwrap());
+    }
+    assert_eq!(
+        hex::to_hex(&Sha256::digest(&all)),
+        "9d0f72fbd4ec56e56ab7a43e30b98ac0ee822da383178c8969a0a4e587954d88"
+    );
 }
