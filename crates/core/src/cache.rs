@@ -5,8 +5,11 @@
 //! could revert cached files to older versions, so:
 //!
 //! - the cache is keyed by the content hashes the in-enclave metadata
-//!   index pins, and every serve re-hashes the bytes against that key —
-//!   the index, never the cached bytes, decides which hash is right,
+//!   index pins, and bytes are re-hashed against that key whenever they
+//!   are used: every serve, and every original a refresh parses or
+//!   sanitizes (a refresh does not touch an original it keeps as the
+//!   previous index pinned it) — the index, never the cached bytes,
+//!   decides which hash is right,
 //! - the metadata indexes themselves survive restarts via **SGX sealing**
 //!   bound to a **TPM monotonic counter**: state is sealed together with
 //!   the counter value, and on restore the unsealed value must equal the
@@ -59,7 +62,8 @@ impl PackageCache {
 
     /// The blob stored under `hash` (hex SHA-256 pinned by the in-enclave
     /// index), hashed again before it is returned — the untrusted-disk
-    /// rollback check.
+    /// rollback check, run by every serve and by a refresh for each
+    /// original it reads; it does not repair, the caller re-downloads.
     ///
     /// # Errors
     ///

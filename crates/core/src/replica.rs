@@ -667,6 +667,49 @@ mod tests {
     }
 
     #[test]
+    fn a_push_carrying_a_tampered_unchanged_original_is_refused() {
+        let primary = service();
+        let publish = |pkgs: &[(&str, &str)], id| {
+            primary.with_mirrors(|ms| tsr_mirror::publish_to_all(ms, &snapshot(id, pkgs)));
+        };
+        publish(&[("tool", "1.0"), ("extra", "1.0")], 2);
+        let (id, _) = primary.create_repository(&policy_text()).unwrap();
+        primary.refresh(&id).unwrap();
+        let replica = service();
+        replica
+            .apply_replicated_state(&primary.export_replicated_state(&id).unwrap())
+            .unwrap();
+        let before = served(&replica, &id);
+
+        // `tool` stays unchanged upstream, so the next refresh does not
+        // read its original and the tampered bytes stay in the cache…
+        primary
+            .with_repository_mut(&id, |repo| {
+                let hash = repo.upstream_index().unwrap().get("tool").unwrap();
+                let hash = hash.content_hash.clone();
+                repo.cache_mut().insert(&hash, b"evil".to_vec());
+            })
+            .unwrap();
+        publish(&[("tool", "1.0"), ("extra", "1.1")], 3);
+        primary.refresh(&id).unwrap();
+        // …but a replica refuses the push that carries them.
+        assert!(matches!(
+            replica.apply_replicated_state(&primary.export_replicated_state(&id).unwrap()),
+            Err(CoreError::SealedState(_))
+        ));
+        assert_eq!(served(&replica, &id), before);
+
+        // A crash-restart replaces the original from the store.
+        for (_, outcome) in primary.crash_restart() {
+            outcome.unwrap();
+        }
+        replica
+            .apply_replicated_state(&primary.export_replicated_state(&id).unwrap())
+            .unwrap();
+        assert_eq!(served(&replica, &id), served(&primary, &id));
+    }
+
+    #[test]
     fn nothing_pins_a_superseded_package_version() {
         let (svc, _) = stored_service(&Arc::new(Mutex::new(SimFs::new())));
         let (id, _) = svc.create_repository(&policy_text()).unwrap();

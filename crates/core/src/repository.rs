@@ -1,18 +1,20 @@
 //! A TSR repository instance: one client's logically separated, sanitized
 //! view of the upstream repository (paper §5.2–§5.5).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use tsr_apk::package::read_scripts;
 #[cfg(test)]
 use tsr_apk::Package;
-use tsr_apk::{Index, IndexEntry};
+use tsr_apk::{Index, IndexEntry, InstallScripts};
 use tsr_crypto::drbg::HmacDrbg;
 use tsr_crypto::{RsaPrivateKey, RsaPublicKey};
 use tsr_mirror::Mirror;
 use tsr_net::LatencyModel;
 use tsr_quorum::{fetch_package_verified, read_index_quorum, QuorumConfig};
+use tsr_script::sanitize::creates_accounts;
 use tsr_sgx::Enclave;
 use tsr_tpm::Tpm;
 
@@ -20,7 +22,7 @@ use crate::cache::{PackageCache, SealedState};
 use crate::error::CoreError;
 use crate::parallel::parallel_map_ordered;
 use crate::policy::Policy;
-use crate::sanitizer::{scan_universe_with_accounts, PackageSanitizer, SanitizeRecord};
+use crate::sanitizer::{fold_universe, PackageSanitizer, SanitizeRecord};
 
 /// Statistics of one repository refresh.
 #[derive(Debug, Clone, Default)]
@@ -58,6 +60,12 @@ pub struct TsrRepository {
     /// the blob per request). Empty ⟺ the signed index is empty.
     signed_index_etag: String,
     sanitizer: Option<PackageSanitizer>,
+    /// The scripts of each original a refresh has read, by content hash:
+    /// volatile in-enclave state, filled only from bytes hashed against
+    /// the index in the refresh that read them, pruned to [`Self::pins`]
+    /// and lost in a [`Self::crash`]. The universe is a fold over it, so
+    /// an unchanged original is neither parsed nor hashed again.
+    scripts: BTreeMap<String, InstallScripts>,
     counter_id: u32,
     /// Sealed state as last written to the untrusted disk.
     sealed_disk: Option<Vec<u8>>,
@@ -112,6 +120,7 @@ impl TsrRepository {
             signed_sanitized_index: Vec::new(),
             signed_index_etag: String::new(),
             sanitizer: None,
+            scripts: BTreeMap::new(),
             counter_id,
             sealed_disk: None,
             rejected: Vec::new(),
@@ -167,7 +176,8 @@ impl TsrRepository {
     /// upstream index, downloads new/changed packages, sanitizes them, and
     /// regenerates the signed sanitized index (§5.4). The download and
     /// sanitization phases fan out over `workers` threads; the universe
-    /// scan between them reads only control segments and runs serially.
+    /// fold between them runs serially over the memoised scripts, parsing
+    /// only the control segments of originals it has not seen.
     ///
     /// The signed index, cache contents, and [`RefreshReport`] are
     /// byte-identical for every worker count: work items are planned
@@ -209,23 +219,34 @@ impl TsrRepository {
             }
         }
 
-        // 3. Download packages that are new or changed (skipping packages
-        //    the policy's whitelist/blacklist excludes — §4.5 extension).
-        //    Each download gets its own DRBG derived *sequentially* from
-        //    the caller's, so mirror selection jitter is independent of
-        //    how the downloads are later scheduled across workers.
-        let downloads: Vec<(&IndexEntry, HmacDrbg)> = new_index
-            .iter()
-            .filter(|e| {
-                self.policy.permits_package(&e.name)
-                    && self.cache.verified(&e.content_hash).is_err()
-            })
-            .map(|e| {
+        // 3. Decide which originals this refresh reads (`Self::reads`):
+        //    each is hashed against the index, and downloaded when it is
+        //    missing or the hash fails. An original that is memoised,
+        //    creates no accounts and can be kept is not touched at all.
+        //    Packages the policy's whitelist/blacklist excludes are skipped
+        //    (§4.5 extension). Each download gets its own DRBG derived
+        //    *sequentially* from the caller's, so mirror selection jitter
+        //    is independent of how the downloads are later scheduled
+        //    across workers.
+        let mut read: Vec<&IndexEntry> = Vec::new();
+        let mut downloads: Vec<(&IndexEntry, HmacDrbg)> = Vec::new();
+        for e in new_index.iter() {
+            if !self.policy.permits_package(&e.name) {
+                continue;
+            }
+            let reads = self.reads(e);
+            let fetch = match self.cache.get(&e.content_hash) {
+                None => true,
+                Some(_) => reads && self.cache.verified(&e.content_hash).is_err(),
+            };
+            if fetch {
                 let mut seed = rng.bytes(32);
                 seed.extend_from_slice(e.name.as_bytes());
-                (e, HmacDrbg::new(&seed))
-            })
-            .collect();
+                downloads.push((e, HmacDrbg::new(&seed)));
+            } else if reads {
+                read.push(e);
+            }
+        }
         let fetched = parallel_map_ordered(&downloads, workers, |_, (entry, drbg)| {
             let mut drbg = drbg.clone();
             fetch_package_verified(mirrors, &entry.name, &new_index, &qcfg, model, &mut drbg)
@@ -235,26 +256,34 @@ impl TsrRepository {
             report.download_elapsed += elapsed;
             report.downloaded += 1;
             self.cache.insert(&entry.content_hash, blob);
+            read.push(entry);
+        }
+        // Every original in `read` was hashed above or at its download, so
+        // only verified bytes enter the memo.
+        for entry in read {
+            if !self.scripts.contains_key(&entry.content_hash) {
+                let scripts = self.cache.get(&entry.content_hash);
+                let scripts = scripts.and_then(|blob| read_scripts(blob).ok());
+                self.scripts
+                    .insert(entry.content_hash.clone(), scripts.unwrap_or_default());
+            }
         }
 
         // 4. Rebuild the user/group universe over the whole repository,
-        //    folded in index order to keep id assignment stable. Only
-        //    control segments are read; the same pass tells which
-        //    packages create accounts.
-        let cached: Vec<(&str, &[u8])> = new_index
+        //    folded over the memoised scripts in index order to keep id
+        //    assignment stable. The same fold tells which packages create
+        //    accounts.
+        let memoised: Vec<(&str, &InstallScripts)> = new_index
             .iter()
-            .filter_map(|e| {
-                let blob = self.cache.get(&e.content_hash)?;
-                Some((e.name.as_str(), &blob[..]))
-            })
+            .filter_map(|e| Some((e.name.as_str(), self.scripts.get(&e.content_hash)?)))
             .collect();
-        let (universe, touches) = scan_universe_with_accounts(cached.iter().map(|(_, b)| *b));
-        let touches_accounts: BTreeSet<&str> = cached
+        let (universe, touches) = fold_universe(memoised.iter().map(|(_, s)| *s));
+        let touches_accounts: BTreeSet<&str> = memoised
             .iter()
             .zip(touches)
             .filter_map(|(&(name, _), touches)| touches.then_some(name))
             .collect();
-        drop(cached);
+        drop(memoised);
         let sanitizer = match &self.sanitizer {
             Some(prev) => prev.successor(universe, &self.policy),
             None => PackageSanitizer::new(
@@ -286,25 +315,14 @@ impl TsrRepository {
             if !self.policy.permits_package(&entry.name) {
                 continue;
             }
-            let prev = self
-                .sanitized_index
-                .as_ref()
-                .and_then(|idx| idx.get(&entry.name));
-            let upstream_changed = self
-                .upstream_index
-                .as_ref()
-                .and_then(|idx| idx.get(&entry.name))
-                .map(|e| e.content_hash != entry.content_hash)
-                .unwrap_or(true);
             let needs_account_refresh =
                 universe_changed && touches_accounts.contains(entry.name.as_str());
-            // A kept package keeps the hash the previous index pinned. The
-            // cache (untrusted disk) is asked only whether a blob is there;
-            // a blob that is not the pinned one is caught when served.
-            let kept = !upstream_changed
-                && !needs_account_refresh
-                && prev.is_some_and(|p| self.cache.get(&p.content_hash).is_some());
-            if let (Some(prev), true) = (prev, kept) {
+            let kept = if needs_account_refresh {
+                None
+            } else {
+                self.keepable(entry)
+            };
+            if let Some(prev) = kept {
                 sanitized_index.upsert(IndexEntry {
                     version: entry.version.clone(),
                     depends: entry.depends.clone(),
@@ -351,7 +369,33 @@ impl TsrRepository {
         //    serving, and every blob they pin with them.
         let keep = self.pins();
         self.cache.retain(|hash| keep.contains(hash));
+        self.scripts.retain(|hash, _| keep.contains(hash));
         Ok(report)
+    }
+
+    /// The previous sanitized entry of `entry`'s package, when a refresh
+    /// can keep it: the upstream hash is the one the previous upstream
+    /// index pinned, the package was sanitized then (not new, not
+    /// rejected), and its sanitized blob is cached. The cache (untrusted
+    /// disk) is asked only whether that blob is there; a blob that is not
+    /// the pinned one is caught when served.
+    fn keepable(&self, entry: &IndexEntry) -> Option<&IndexEntry> {
+        let unchanged = self
+            .upstream_index
+            .as_ref()
+            .and_then(|idx| idx.get(&entry.name))
+            .is_some_and(|e| e.content_hash == entry.content_hash);
+        let prev = self.sanitized_index.as_ref()?.get(&entry.name)?;
+        (unchanged && self.cache.get(&prev.content_hash).is_some()).then_some(prev)
+    }
+
+    /// Whether a refresh reads `entry`'s original, hashing it against the
+    /// index first: its scripts are not memoised yet, or they create
+    /// accounts (a universe change re-sanitizes it), or its package cannot
+    /// be kept. Everything a refresh parses or sanitizes is in this set.
+    fn reads(&self, entry: &IndexEntry) -> bool {
+        let creates = |scripts: &InstallScripts| scripts.iter().any(|(_, b)| creates_accounts(b));
+        self.scripts.get(&entry.content_hash).is_none_or(creates) || self.keepable(entry).is_none()
     }
 
     /// The content hashes the upstream and sanitized indexes pin: the
@@ -470,16 +514,19 @@ impl TsrRepository {
         self.signed_sanitized_index.clear();
         self.signed_index_etag.clear();
         self.sanitizer = None;
+        self.scripts.clear();
         self.rejected.clear();
     }
 
     /// Restores the metadata indexes after a restart, verifying the
-    /// monotonic counter. The package cache is re-validated lazily on every
-    /// [`Self::serve_package`].
+    /// monotonic counter. The package cache is re-validated lazily: a
+    /// sanitized blob on every [`Self::serve_package`], an original when
+    /// the next refresh reads it.
     ///
-    /// The sanitizer and so its universe fingerprint are not sealed, so
-    /// the first refresh after a restore re-sanitizes the kept packages whose scripts create
-    /// accounts once; every other kept package stays as the seal pins it.
+    /// The sanitizer and the script memo are not sealed, so the first
+    /// refresh after a restore reads (and hashes) every original once, and
+    /// re-sanitizes the kept packages whose scripts create accounts; every
+    /// other kept package stays as the seal pins it.
     ///
     /// # Errors
     ///
@@ -859,6 +906,111 @@ mod tests {
             repo.serve_package("plain"),
             Err(CoreError::RollbackDetected(_))
         ));
+    }
+
+    /// The content hash the upstream index pins for `name`'s original.
+    fn original(repo: &TsrRepository, name: &str) -> String {
+        let entry = repo.upstream_index().unwrap().get(name).unwrap();
+        entry.content_hash.clone()
+    }
+
+    #[test]
+    fn an_unchanged_original_is_not_read_again() {
+        let mut w = World::new();
+        let mut repo = w.repo();
+        w.refresh(&mut repo).unwrap();
+        let pinned = repo
+            .sanitized_index()
+            .unwrap()
+            .get("plain")
+            .unwrap()
+            .clone();
+        let served = repo.serve_package("plain").unwrap();
+        let junk = b"junk".to_vec();
+        let hash = original(&repo, "plain");
+        repo.cache_mut().insert(&hash, junk.clone());
+        // Only `websrv` changes upstream, and the universe stays the same.
+        let www = Some("adduser -S -D -H www\nmkdir -p /var/www");
+        let bump = |id, websrv| {
+            snapshot(
+                id,
+                &[
+                    ("plain", "1.0", None),
+                    ("websrv", websrv, www),
+                    ("badpkg", "0.1", Some("echo x >> /etc/evil.conf")),
+                ],
+            )
+        };
+        publish_to_all(&mut w.mirrors, &bump(2, "2.1"));
+        let report = w.refresh(&mut repo).unwrap();
+        // `plain`'s original is memoised, creates no accounts and is kept:
+        // neither hashed nor downloaded, and never sanitized from junk.
+        assert_eq!(report.downloaded, 1, "only the changed package");
+        let names: Vec<&str> = report.sanitized.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["websrv"]);
+        assert_eq!(repo.sanitized_index().unwrap().get("plain"), Some(&pinned));
+        assert_eq!(repo.serve_package("plain").unwrap(), served);
+        assert_eq!(
+            repo.cache().get(&original(&repo, "plain")).unwrap()[..],
+            junk
+        );
+
+        // A restart forgets the memo, so its first refresh reads (and
+        // here re-downloads) every original again.
+        repo.crash();
+        let enclave = w.cpu.load_enclave(b"tsr-enclave");
+        repo.restore(&enclave, &w.tpm).unwrap();
+        publish_to_all(&mut w.mirrors, &bump(3, "2.2"));
+        let report = w.refresh(&mut repo).unwrap();
+        assert_eq!(report.downloaded, 2, "websrv 2.2 and the junk `plain`");
+        repo.cache().verified(&original(&repo, "plain")).unwrap();
+        assert_eq!(repo.serve_package("plain").unwrap(), served);
+    }
+
+    #[test]
+    fn a_tampered_account_package_is_read_again_when_the_universe_changes() {
+        let run = |tamper: bool| {
+            let mut w = World::new();
+            let mut repo = w.repo();
+            w.refresh(&mut repo).unwrap();
+            if tamper {
+                let hash = original(&repo, "websrv");
+                repo.cache_mut().insert(&hash, b"junk".to_vec());
+            }
+            publish_to_all(&mut w.mirrors, &snapshot_adding_dbsrv());
+            let report = w.refresh(&mut repo).unwrap();
+            let names: Vec<String> = report.sanitized.iter().map(|r| r.name.clone()).collect();
+            assert!(names.contains(&"websrv".to_string()), "{names:?}");
+            (
+                report.downloaded,
+                repo.serve_package("websrv").unwrap(),
+                repo.serve_index().unwrap(),
+            )
+        };
+        let (clean_downloads, clean_websrv, clean_index) = run(false);
+        let (downloads, websrv, index) = run(true);
+        assert_eq!(clean_downloads, 1, "dbsrv");
+        assert_eq!(downloads, 2, "dbsrv and the tampered websrv");
+        assert_eq!(websrv, clean_websrv, "re-sanitized from the honest bytes");
+        assert_eq!(index, clean_index);
+    }
+
+    #[test]
+    fn a_tampered_rejected_original_is_read_again() {
+        let mut w = World::new();
+        let mut repo = w.repo();
+        w.refresh(&mut repo).unwrap();
+        let rejected = repo.rejected().to_vec();
+        assert_eq!(rejected.len(), 1);
+        let hash = original(&repo, "badpkg");
+        repo.cache_mut().insert(&hash, b"junk".to_vec());
+        // A rejected package has no sanitized entry to keep, so every
+        // refresh reads its original: the junk is replaced, and the
+        // package is rejected again for the same reason.
+        let report = w.refresh(&mut repo).unwrap();
+        assert_eq!(report.downloaded, 1);
+        assert_eq!(report.rejected, rejected);
+        repo.cache().verified(&hash).unwrap();
     }
 
     #[test]

@@ -20,9 +20,9 @@
 use std::time::{Duration, Instant};
 
 use tsr_apk::package::{build_from_parts, read_scripts};
-use tsr_apk::Package;
 #[cfg(test)]
 use tsr_apk::PackageError;
+use tsr_apk::{InstallScripts, Package};
 use tsr_crypto::{hex, RsaPrivateKey, RsaPublicKey, Sha256};
 use tsr_script::sanitize::{append_signature_commands, creates_accounts, sanitize_script};
 use tsr_script::UserGroupUniverse;
@@ -217,9 +217,9 @@ impl PackageSanitizer {
 
         // Phase: check integrity & authenticity. Header-signature
         // verification has constant cost; the data segment's hash was
-        // already verified against the quorum-agreed metadata index when
-        // the blob entered the cache (fetch_package_verified, or the
-        // cache's verified read that skips the download), so the
+        // already verified against the quorum-agreed metadata index in
+        // this refresh (fetch_package_verified, or the cache's verified
+        // read that skips the download), so the
         // linear-cost hashing is attributed to the download — matching
         // the paper's pipeline, where the check-integrity share *shrinks*
         // as packages grow (Table 4).
@@ -331,17 +331,29 @@ pub fn scan_universe<'a>(blobs: impl Iterator<Item = &'a [u8]>) -> UserGroupUniv
 
 /// [`scan_universe`], also answering per blob, in input order, whether its
 /// scripts create users or groups ([`creates_accounts`]): exactly the
-/// packages whose sanitized bytes depend on the universe. Scripts are
-/// folded in input order, which keeps uid/gid assignment stable.
+/// packages whose sanitized bytes depend on the universe. An unreadable
+/// blob counts as one without scripts.
 pub(crate) fn scan_universe_with_accounts<'a>(
     blobs: impl Iterator<Item = &'a [u8]>,
 ) -> (UserGroupUniverse, Vec<bool>) {
+    let scripts: Vec<InstallScripts> = blobs
+        .map(|blob| read_scripts(blob).unwrap_or_default())
+        .collect();
+    fold_universe(scripts.iter())
+}
+
+/// The universe pre-pass over scripts already read, one
+/// [`InstallScripts`] per package: what a refresh folds over the scripts
+/// it keeps per content hash, so an unchanged package is not parsed
+/// again. Scripts are folded in input order, which keeps uid/gid
+/// assignment stable; the second half answers, per package, whether its
+/// scripts create users or groups.
+pub(crate) fn fold_universe<'a>(
+    scripts: impl Iterator<Item = &'a InstallScripts>,
+) -> (UserGroupUniverse, Vec<bool>) {
     let mut universe = UserGroupUniverse::new();
-    let touches_accounts = blobs
-        .map(|blob| {
-            let Ok(scripts) = read_scripts(blob) else {
-                return false;
-            };
+    let touches_accounts = scripts
+        .map(|scripts| {
             scripts.iter().fold(false, |touches, (_, body)| {
                 universe.scan_script(body);
                 touches | creates_accounts(body)
@@ -555,14 +567,19 @@ mod tests {
         assert_eq!(u.user_count(), 2);
     }
 
-    #[test]
-    fn scan_matches_a_fold_over_full_parses_of_a_workload_upstream() {
+    /// A small generated upstream with the CVE pattern in it.
+    fn workload_upstream() -> tsr_workload::GeneratedRepo {
         use tsr_workload::{Census, GeneratedRepo, WorkloadConfig};
-        let upstream = GeneratedRepo::generate(WorkloadConfig {
+        GeneratedRepo::generate(WorkloadConfig {
             census: Census::default().scaled(0.004),
             include_cve_pattern: true,
             ..WorkloadConfig::default()
-        });
+        })
+    }
+
+    #[test]
+    fn scan_matches_a_fold_over_full_parses_of_a_workload_upstream() {
+        let upstream = workload_upstream();
         let blobs: Vec<&[u8]> = upstream.blobs.values().map(Vec::as_slice).collect();
 
         // The oracle: the pre-pass as a fold over full three-segment parses.
@@ -605,6 +622,33 @@ mod tests {
             }
         }
         assert!(0 < touching && touching < accepted, "{touching}/{accepted}");
+    }
+
+    #[test]
+    fn a_fold_over_memoised_scripts_matches_the_blob_scan() {
+        use std::collections::BTreeMap;
+        let upstream = workload_upstream();
+        let mut blobs: Vec<&[u8]> = upstream.blobs.values().map(Vec::as_slice).collect();
+        blobs.insert(blobs.len() / 2, b"not a package");
+        let hash = |blob: &[u8]| hex::to_hex(&Sha256::digest(blob));
+
+        // The memo a refresh keeps: scripts per content hash, read once;
+        // an unreadable blob is remembered as having none.
+        let memo: BTreeMap<String, InstallScripts> = blobs
+            .iter()
+            .map(|blob| (hash(blob), read_scripts(blob).unwrap_or_default()))
+            .collect();
+        assert!(memo[&hash(b"not a package")].is_empty());
+        let (folded, folded_bits) = fold_universe(blobs.iter().map(|blob| &memo[&hash(blob)]));
+
+        let (scanned, scanned_bits) = scan_universe_with_accounts(blobs.iter().copied());
+        assert_eq!(folded, scanned);
+        assert_eq!(folded_bits, scanned_bits);
+        assert!(folded_bits.iter().any(|&b| b) && !folded_bits[blobs.len() / 2]);
+        let fingerprint = |universe| {
+            PackageSanitizer::new(tsr_key(), "tsr-repo", universe, &policy()).universe_fingerprint()
+        };
+        assert_eq!(fingerprint(folded), fingerprint(scanned));
     }
 
     #[test]

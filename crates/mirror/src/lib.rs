@@ -20,6 +20,10 @@
 //! A mirror stores full repository snapshots as published; behaviour only
 //! affects what is *served*. Timed fetches also honour continent-level
 //! partitions injected through [`LatencyModel::reachable`].
+//!
+//! A published snapshot is immutable, so the history holds shared
+//! handles: cloning a mirror (or a whole fleet, as a refresh does to stop
+//! holding the fleet lock) copies pointers, never package bytes.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -96,6 +100,11 @@ pub enum Behavior {
 }
 
 /// A repository mirror.
+///
+/// A clone is another handle to the same remote mirror: it shares the
+/// published snapshots (each held behind an `Arc`, so a clone costs one
+/// pointer per snapshot, not a copy of its packages) and the request
+/// counter. Behaviour and name are per handle.
 #[derive(Debug, Clone)]
 pub struct Mirror {
     /// Mirror hostname-like identifier.
@@ -103,7 +112,7 @@ pub struct Mirror {
     /// Where the mirror is hosted (drives simulated latency).
     pub continent: Continent,
     behavior: Behavior,
-    history: Vec<RepoSnapshot>,
+    history: Vec<Arc<RepoSnapshot>>,
     /// Requests answered so far (drives equivocation and statistics).
     /// Shared across clones: a clone is another handle to the same
     /// (remote) mirror, and the request count is that mirror's
@@ -126,7 +135,7 @@ impl Mirror {
 
     /// Publishes a new snapshot (the original repository → mirror sync).
     pub fn publish(&mut self, snapshot: RepoSnapshot) {
-        self.history.push(snapshot);
+        self.history.push(Arc::new(snapshot));
     }
 
     /// Changes the behaviour (e.g. when the adversary compromises it).
@@ -155,26 +164,22 @@ impl Mirror {
     }
 
     fn served_snapshot(&self, request: u64) -> Result<&RepoSnapshot, MirrorError> {
-        match self.behavior {
-            Behavior::Offline => Err(MirrorError::Unreachable(self.name.clone())),
-            Behavior::Stale { snapshot } => self
-                .history
-                .get(snapshot)
-                .or_else(|| self.history.last())
-                .ok_or_else(|| MirrorError::Empty(self.name.clone())),
-            Behavior::Equivocate { stale } if request % 2 == 1 => self
-                .history
-                .get(stale)
-                .or_else(|| self.history.last())
-                .ok_or_else(|| MirrorError::Empty(self.name.clone())),
+        let snapshot = match self.behavior {
+            Behavior::Offline => return Err(MirrorError::Unreachable(self.name.clone())),
+            Behavior::Stale { snapshot } => {
+                self.history.get(snapshot).or_else(|| self.history.last())
+            }
+            Behavior::Equivocate { stale } if request % 2 == 1 => {
+                self.history.get(stale).or_else(|| self.history.last())
+            }
             Behavior::Honest
             | Behavior::CorruptPackages
             | Behavior::Equivocate { .. }
-            | Behavior::Slow { .. } => self
-                .history
-                .last()
-                .ok_or_else(|| MirrorError::Empty(self.name.clone())),
-        }
+            | Behavior::Slow { .. } => self.history.last(),
+        };
+        snapshot
+            .map(|s| &**s)
+            .ok_or_else(|| MirrorError::Empty(self.name.clone()))
     }
 
     /// Serves the signed metadata index.
@@ -273,10 +278,11 @@ impl Mirror {
 }
 
 /// Convenience: publishes a snapshot to every mirror in the fleet
-/// (the "sync" arrow of Figure 2).
+/// (the "sync" arrow of Figure 2). The mirrors share one copy of it.
 pub fn publish_to_all(mirrors: &mut [Mirror], snapshot: &RepoSnapshot) {
+    let shared = Arc::new(snapshot.clone());
     for m in mirrors.iter_mut() {
-        m.publish(snapshot.clone());
+        m.history.push(Arc::clone(&shared));
     }
 }
 
@@ -386,6 +392,32 @@ mod tests {
         ];
         publish_to_all(&mut fleet, &snapshot(1, 7));
         assert!(fleet.iter().all(|m| m.history_len() == 1));
+    }
+
+    #[test]
+    fn a_cloned_fleet_shares_its_snapshots() {
+        let mut fleet = vec![
+            Mirror::new("a", Continent::Europe),
+            Mirror::new("b", Continent::Asia),
+        ];
+        publish_to_all(&mut fleet, &snapshot(1, 0xaa));
+        publish_to_all(&mut fleet, &snapshot(2, 0xbb));
+        fleet[0].set_behavior(Behavior::Stale { snapshot: 0 });
+        fleet[1].set_behavior(Behavior::Equivocate { stale: 0 });
+        let cloned = fleet.clone();
+        for (m, c) in fleet.iter().zip(&cloned) {
+            assert_eq!(m.history.len(), c.history.len());
+            for (s, t) in m.history.iter().zip(&c.history) {
+                assert!(Arc::ptr_eq(s, t), "a clone copied a snapshot");
+            }
+        }
+        // One published snapshot, one allocation across the fleet.
+        assert!(Arc::ptr_eq(&fleet[0].history[1], &fleet[1].history[1]));
+        // Behaviours still pick the indexed snapshot through a clone.
+        assert_eq!(cloned[0].fetch_package("pkg").unwrap(), vec![0xaa; 64]);
+        assert_eq!(cloned[1].fetch_index().unwrap(), vec![0xbb; 32]);
+        assert_eq!(cloned[1].fetch_index().unwrap(), vec![0xaa; 32]);
+        assert_eq!(fleet[1].fetch_package("pkg").unwrap(), vec![0xbb; 64]);
     }
 
     #[test]
