@@ -11,15 +11,17 @@
 //!   local sanitize→sign pipeline, push the sealed signed state to the
 //!   replicas, and report commit only when a majority of owner
 //!   ack-votes agree on the resulting index ETag (tallied with
-//!   [`BallotBox`], so duplicate and equivocating acks never count),
+//!   [`BallotBox`], so duplicate and equivocating acks never count).
+//!   A push leaves out the blobs the owner acked last time; an owner
+//!   that cannot complete it nacks and gets one full push;
 //! - **`POST /v1/repositories`** — tenant creation, bootstrapping the
 //!   new shard onto its ring owners.
 //!
 //! Everything else falls through to the service untouched, so a
 //! one-node cluster behaves exactly like a bare [`TsrService`].
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use tsr_core::{ApiOptions, CoreError, ReplicatedState, TsrService};
 use tsr_http::router::{Recognized, Router};
@@ -67,6 +69,11 @@ struct NodeShared {
     config: RwLock<ClusterConfigDto>,
     transport: Arc<dyn NodeTransport>,
     routes: Router<ClusterOp>,
+    /// `(owner id, tenant id)` → the blob hashes of the last image that
+    /// owner acked with this node's own ETag: what the next push to it
+    /// leaves out. Volatile, so a restarted primary pushes in full. A
+    /// leaf lock, never held across a transport call.
+    acked: Mutex<BTreeMap<(String, String), BTreeSet<String>>>,
 }
 
 /// One cluster member. Cheap to clone (shared interior); clones address
@@ -118,6 +125,7 @@ impl ClusterNode {
                 config: RwLock::new(config),
                 transport,
                 routes,
+                acked: Mutex::new(BTreeMap::new()),
             }),
         }
     }
@@ -362,6 +370,12 @@ impl ClusterNode {
     /// impersonate another voter; [`BallotBox`] additionally rejects
     /// duplicates and equivocation.
     ///
+    /// An owner whose last outcome was an ack agreeing with this node's
+    /// ETag gets the image without the blobs that acked image carried;
+    /// any other owner gets it in full. A push with blobs left out that
+    /// comes back as anything but an agreeing ack is followed by one full
+    /// push, whose outcome is the owner's vote.
+    ///
     /// # Errors
     ///
     /// [`ClusterError::NoQuorum`] when fewer than a majority of owners
@@ -374,12 +388,17 @@ impl ClusterNode {
             .export_replicated_state(id)
             .map_err(|e| ClusterError::Protocol(format!("export {id}: {e}")))?;
         let etag = state.index_etag.clone();
+        let hashes: BTreeSet<String> = state.blobs.iter().map(|(h, _)| h.clone()).collect();
         let request_id = current_request_id().unwrap_or_default();
-        let push = ReplicateRequestDto {
+        let full = ReplicateRequestDto {
             epoch: ring.config().epoch,
             primary: self.shared.info.id.clone(),
             state,
             request_id: request_id.clone(),
+        };
+        let agrees = |outcome: &Result<ReplicateAckDto, ClusterError>| {
+            let agreeing = |ack: &ReplicateAckDto| ack.accepted && ack.index_etag == etag;
+            outcome.as_ref().is_ok_and(agreeing)
         };
         let mut ballots = BallotBox::new();
         ballots.cast(&self.shared.info.id, etag.as_bytes());
@@ -392,7 +411,22 @@ impl ClusterNode {
                 &request_id,
                 format!("{id} -> {}", owner.id),
             );
-            match self.shared.transport.replicate(owner, &push) {
+            let key = (owner.id.clone(), id.to_string());
+            let lean = lock(&self.shared.acked).get(&key).and_then(|held| {
+                let mut push = full.clone();
+                push.state.blobs.retain(|(hash, _)| !held.contains(hash));
+                (push.state.blobs.len() < full.state.blobs.len()).then_some(push)
+            });
+            let mut outcome = self.push(owner, lean.as_ref().unwrap_or(&full));
+            if lean.is_some() && !agrees(&outcome) {
+                outcome = self.push(owner, &full);
+            }
+            if agrees(&outcome) {
+                lock(&self.shared.acked).insert(key, hashes.clone());
+            } else {
+                lock(&self.shared.acked).remove(&key);
+            }
+            match outcome {
                 Ok(ack) if ack.accepted => {
                     ballots.cast(&owner.id, ack.index_etag.as_bytes());
                 }
@@ -414,6 +448,20 @@ impl ClusterNode {
         }
     }
 
+    /// One replicate call to `owner`, counting the blob bytes it carries.
+    fn push(
+        &self,
+        owner: &NodeInfoDto,
+        push: &ReplicateRequestDto,
+    ) -> Result<ReplicateAckDto, ClusterError> {
+        let bytes: usize = push.state.blobs.iter().map(|(_, b)| b.len()).sum();
+        self.shared
+            .service
+            .event_counter("cluster_replicate_blob_bytes")
+            .add(bytes as u64);
+        self.shared.transport.replicate(owner, push)
+    }
+
     /// Tenant creation: create locally, then bootstrap the new shard
     /// onto its ring owners (push the policy-only state). If this node
     /// is not itself an owner it drops its local copy — it only acted
@@ -432,8 +480,8 @@ impl ClusterNode {
 
     /// Best-effort push of a freshly created shard to its owners.
     /// Replication is not quorum-gated here: an unreachable owner is
-    /// bootstrapped later by the first replicated refresh (the full
-    /// state rides every push).
+    /// bootstrapped later by the first replicated refresh (no owner has
+    /// acked yet, so that push is full).
     pub fn bootstrap(&self, id: &str) {
         let ring = Ring::new(self.config());
         if ring.config().nodes.len() <= 1 {
@@ -450,7 +498,7 @@ impl ClusterNode {
         };
         for owner in ring.owners(id) {
             if owner.id != self.shared.info.id {
-                let _ = self.shared.transport.replicate(owner, &push);
+                let _ = self.push(owner, &push);
             }
         }
         if !ring.is_owner(id, &self.shared.info.id) {
@@ -529,6 +577,10 @@ impl ClusterNode {
     }
 }
 
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn text_body(req: &Request) -> String {
     String::from_utf8_lossy(&req.body).into_owned()
 }
@@ -545,12 +597,59 @@ mod tests {
     use tsr_wire::CreateRepositoryRequest;
     use tsr_workload::GeneratedRepo;
 
-    use crate::transport::LocalCluster;
+    use crate::transport::{LocalCluster, LocalTransport};
+
+    /// `(owner id, blob hashes)` of every replicate call, in order.
+    type Pushes = Arc<Mutex<Vec<(String, BTreeSet<String>)>>>;
+
+    /// A [`LocalTransport`] that records the blob hashes of every push.
+    struct Recording {
+        inner: Arc<LocalTransport>,
+        pushes: Pushes,
+    }
+
+    impl NodeTransport for Recording {
+        fn forward(&self, to: &NodeInfoDto, req: &mut Request) -> Result<Response, ClusterError> {
+            self.inner.forward(to, req)
+        }
+
+        fn replicate(
+            &self,
+            to: &NodeInfoDto,
+            req: &ReplicateRequestDto,
+        ) -> Result<ReplicateAckDto, ClusterError> {
+            let hashes = req.state.blobs.iter().map(|(h, _)| h.clone()).collect();
+            self.pushes.lock().unwrap().push((to.id.clone(), hashes));
+            self.inner.replicate(to, req)
+        }
+
+        fn fetch_seal(
+            &self,
+            to: &NodeInfoDto,
+            repo: &str,
+        ) -> Result<ReplicatedState, ClusterError> {
+            self.inner.fetch_seal(to, repo)
+        }
+
+        fn digest(&self, to: &NodeInfoDto) -> Result<ClusterDigestDto, ClusterError> {
+            self.inner.digest(to)
+        }
+
+        fn join(
+            &self,
+            to: &NodeInfoDto,
+            config: &ClusterConfigDto,
+        ) -> Result<ClusterConfigDto, ClusterError> {
+            self.inner.join(to, config)
+        }
+    }
 
     struct Fixture {
         cluster: LocalCluster,
         nodes: Vec<ClusterNode>,
         repo: String,
+        upstream: GeneratedRepo,
+        pushes: Pushes,
     }
 
     fn request(method: &str, path: &str, body: Vec<u8>) -> Request {
@@ -562,18 +661,45 @@ mod tests {
         }
     }
 
+    fn mirrors(upstream: &GeneratedRepo) -> Vec<Mirror> {
+        let mut ms: Vec<Mirror> = (0..3)
+            .map(|i| Mirror::new(format!("m{i}"), Continent::Europe))
+            .collect();
+        publish_to_all(&mut ms, &upstream.snapshot());
+        ms
+    }
+
+    /// A node over an empty store, registered with `cluster`.
+    fn node(
+        info: &NodeInfoDto,
+        config: ClusterConfigDto,
+        cluster: &LocalCluster,
+        upstream: &GeneratedRepo,
+        pushes: &Pushes,
+    ) -> ClusterNode {
+        let fs = Arc::new(Mutex::new(SimFs::new()));
+        let (service, _) = TsrService::with_store(
+            b"node-tests-seed",
+            mirrors(upstream),
+            LatencyModel::default(),
+            1024,
+            Box::new(SimFsBackend::new(fs, "/store")),
+        )
+        .unwrap();
+        let transport = Recording {
+            inner: cluster.transport_from(info),
+            pushes: Arc::clone(pushes),
+        };
+        let node = ClusterNode::new(info.clone(), service, config, Arc::new(transport));
+        cluster.register(node.clone());
+        node
+    }
+
     /// Three nodes sharing a platform seed, one replicated tenant.
     fn fixture() -> Fixture {
         let upstream = GeneratedRepo::generate(default_workload("node-tests", 11));
-        let make_mirrors = || {
-            let mut ms: Vec<Mirror> = (0..3)
-                .map(|i| Mirror::new(format!("m{i}"), Continent::Europe))
-                .collect();
-            publish_to_all(&mut ms, &upstream.snapshot());
-            ms
-        };
         let policy = tsr_core::Policy {
-            mirrors: make_mirrors()
+            mirrors: mirrors(&upstream)
                 .iter()
                 .map(|m| tsr_core::MirrorRef {
                     hostname: m.name.clone(),
@@ -599,26 +725,11 @@ mod tests {
             nodes: infos.clone(),
         };
         let cluster = LocalCluster::new();
-        let mut nodes = Vec::new();
-        for info in &infos {
-            let fs = Arc::new(Mutex::new(SimFs::new()));
-            let (service, _) = TsrService::with_store(
-                b"node-tests-seed",
-                make_mirrors(),
-                LatencyModel::default(),
-                1024,
-                Box::new(SimFsBackend::new(fs, "/store")),
-            )
-            .unwrap();
-            let node = ClusterNode::new(
-                info.clone(),
-                service,
-                config.clone(),
-                cluster.transport_from(info),
-            );
-            cluster.register(node.clone());
-            nodes.push(node);
-        }
+        let pushes = Pushes::default();
+        let nodes: Vec<ClusterNode> = infos
+            .iter()
+            .map(|info| node(info, config.clone(), &cluster, &upstream, &pushes))
+            .collect();
         // Create through the allocator so the shard bootstraps onto its
         // ring owners, exactly like production traffic would.
         let ring = Ring::new(config);
@@ -632,10 +743,13 @@ mod tests {
         assert_eq!(resp.status, 201, "{:?}", resp.body.as_slice());
         let created =
             RepositoryCreated::decode(&String::from_utf8_lossy(resp.body.as_slice())).unwrap();
+        pushes.lock().unwrap().clear();
         Fixture {
             cluster,
             nodes,
             repo: created.id,
+            upstream,
+            pushes,
         }
     }
 
@@ -660,6 +774,283 @@ mod tests {
             );
             self.primary().handle(&mut req)
         }
+
+        /// A replicated refresh that commits with `acks` votes.
+        fn commit(&self, acks: &str) {
+            let resp = self.refresh();
+            assert_eq!(resp.status, 200, "{:?}", resp.body.as_slice());
+            assert_eq!(resp.headers.get("x-tsr-cluster-acks").unwrap(), acks);
+        }
+
+        /// Bumps `count` packages upstream on every node's mirrors.
+        fn publish(&mut self, count: usize) -> Vec<String> {
+            let updated = self.upstream.publish_update(count);
+            let snapshot = self.upstream.snapshot();
+            for node in &self.nodes {
+                node.service()
+                    .with_mirrors(|ms| publish_to_all(ms, &snapshot));
+            }
+            updated
+        }
+
+        /// Replaces node `id` with a fresh one over an empty store.
+        fn rebuild(&mut self, id: &str) {
+            let k = self.nodes.iter().position(|n| n.info().id == id).unwrap();
+            let info = self.nodes[k].info().clone();
+            let config = self.nodes[k].config();
+            self.nodes[k] = node(&info, config, &self.cluster, &self.upstream, &self.pushes);
+        }
+
+        /// The blob hashes of the primary's current image.
+        fn image(&self) -> BTreeSet<String> {
+            let state = self.primary().export_seal(&self.repo).unwrap();
+            state.blobs.into_iter().map(|(h, _)| h).collect()
+        }
+
+        /// The blob hashes of each push to `owner` since the last
+        /// [`Self::forget_pushes`].
+        fn pushed_to(&self, owner: &str) -> Vec<BTreeSet<String>> {
+            let pushes = self.pushes.lock().unwrap();
+            let to_owner = pushes.iter().filter(|(to, _)| to == owner);
+            to_owner.map(|(_, hashes)| hashes.clone()).collect()
+        }
+
+        fn forget_pushes(&self) {
+            self.pushes.lock().unwrap().clear();
+        }
+
+        fn blob_bytes(&self) -> u64 {
+            let service = self.primary().service();
+            service.event_counter("cluster_replicate_blob_bytes").get()
+        }
+
+        /// Every owner serves the primary's index and package bytes.
+        fn assert_converged(&self) {
+            let primary = self.primary().service();
+            let names: Vec<String> = primary
+                .with_repository(&self.repo, |repo| {
+                    let index = repo.sanitized_index().unwrap();
+                    index.iter().map(|e| e.name.clone()).collect()
+                })
+                .unwrap();
+            for k in 0..2 {
+                let replica = self.replica(k).service();
+                assert_eq!(
+                    replica.fetch_index(&self.repo).unwrap(),
+                    primary.fetch_index(&self.repo).unwrap()
+                );
+                for name in &names {
+                    assert_eq!(
+                        replica.fetch_package(&self.repo, name).unwrap(),
+                        primary.fetch_package(&self.repo, name).unwrap(),
+                        "{name}"
+                    );
+                }
+            }
+        }
+
+        /// `(repo) accepted=..` of every apply `owner` journaled.
+        fn applies(&self, owner: &str) -> Vec<String> {
+            let node = self.nodes.iter().find(|n| n.info().id == owner).unwrap();
+            let events = node.service().obs_journal().drain().into_iter();
+            let applies = events.filter(|e| e.kind == "replicate_apply");
+            applies.map(|e| e.detail).collect()
+        }
+    }
+
+    fn minus(a: &BTreeSet<String>, b: &BTreeSet<String>) -> BTreeSet<String> {
+        a.difference(b).cloned().collect()
+    }
+
+    #[test]
+    fn a_steady_refresh_pushes_each_replica_only_the_blobs_it_added() {
+        let mut fx = fixture();
+        fx.commit("3");
+        let first = fx.image();
+        let owners = [
+            fx.replica(0).info().id.clone(),
+            fx.replica(1).info().id.clone(),
+        ];
+        // The first push of a tenant is full…
+        for owner in &owners {
+            assert_eq!(fx.pushed_to(owner), vec![first.clone()]);
+        }
+
+        // …and each one after it carries what the refresh added.
+        fx.publish(2);
+        fx.forget_pushes();
+        let bytes = fx.blob_bytes();
+        fx.commit("3");
+        let state = fx.primary().export_seal(&fx.repo).unwrap();
+        let added = minus(&fx.image(), &first);
+        assert!(!added.is_empty() && added.len() < first.len(), "{added:?}");
+        for owner in &owners {
+            assert_eq!(fx.pushed_to(owner), vec![added.clone()]);
+        }
+        let added_bytes: usize = state
+            .blobs
+            .iter()
+            .filter(|(h, _)| added.contains(h))
+            .map(|(_, b)| b.len())
+            .sum();
+        assert_eq!(fx.blob_bytes() - bytes, 2 * added_bytes as u64);
+        fx.assert_converged();
+    }
+
+    #[test]
+    fn a_restarted_replica_catches_up_on_the_next_lean_push() {
+        let mut fx = fixture();
+        fx.commit("3");
+        let dark = fx.replica(1).info().id.clone();
+        let restart = |fx: &Fixture| {
+            fx.cluster.restart(&dark);
+            for (_, outcome) in fx.replica(1).service().crash_restart() {
+                outcome.unwrap();
+            }
+        };
+        // Down between two refreshes: it restarts from its store, and the
+        // next push leaves out what it acked before the crash.
+        fx.cluster.crash(&dark);
+        restart(&fx);
+        let first = fx.image();
+        fx.publish(2);
+        fx.forget_pushes();
+        fx.commit("3");
+        assert_eq!(fx.pushed_to(&dark), [minus(&fx.image(), &first)]);
+        fx.assert_converged();
+
+        // Down across a refresh: the lean push and the full one both fail,
+        // so the primary forgets what it acked and pushes in full once the
+        // replica is back; the push after that is lean again.
+        fx.cluster.crash(&dark);
+        let acked = fx.image();
+        fx.publish(2);
+        fx.forget_pushes();
+        fx.commit("2");
+        assert_eq!(
+            fx.pushed_to(&dark),
+            [minus(&fx.image(), &acked), fx.image()]
+        );
+        restart(&fx);
+        fx.publish(2);
+        fx.forget_pushes();
+        fx.commit("3");
+        assert_eq!(fx.pushed_to(&dark), [fx.image()]);
+        fx.assert_converged();
+        let acked = fx.image();
+        fx.publish(2);
+        fx.forget_pushes();
+        fx.commit("3");
+        assert_eq!(fx.pushed_to(&dark), [minus(&fx.image(), &acked)]);
+        fx.assert_converged();
+    }
+
+    #[test]
+    fn a_replica_rebuilt_over_an_empty_store_nacks_the_lean_push_then_takes_the_full_one() {
+        let mut fx = fixture();
+        fx.commit("3");
+        let wiped = fx.replica(0).info().id.clone();
+        fx.rebuild(&wiped);
+        let acked = fx.image();
+        fx.publish(2);
+        fx.forget_pushes();
+        fx.commit("3");
+        assert_eq!(
+            fx.pushed_to(&wiped),
+            [minus(&fx.image(), &acked), fx.image()]
+        );
+        let repo = &fx.repo;
+        assert_eq!(
+            fx.applies(&wiped),
+            [
+                format!("{repo} accepted=false"),
+                format!("{repo} accepted=true")
+            ]
+        );
+        fx.assert_converged();
+    }
+
+    #[test]
+    fn a_replica_that_lied_then_turned_honest_converges() {
+        let mut fx = fixture();
+        fx.commit("3");
+        let liar = fx.replica(0).info().id.clone();
+        fx.cluster.set_byzantine(&liar, true);
+        let acked = fx.image();
+        fx.publish(2);
+        fx.forget_pushes();
+        fx.commit("2");
+        // Its forged ack does not agree, so the lean push is followed by
+        // a full one, and the primary forgets what it held.
+        assert_eq!(
+            fx.pushed_to(&liar),
+            [minus(&fx.image(), &acked), fx.image()]
+        );
+        fx.cluster.set_byzantine(&liar, false);
+        fx.publish(2);
+        fx.forget_pushes();
+        fx.commit("3");
+        assert_eq!(fx.pushed_to(&liar), [fx.image()]);
+        fx.assert_converged();
+    }
+
+    #[test]
+    fn a_tampered_unchanged_original_on_the_primary_blocks_only_a_full_push() {
+        let mut fx = fixture();
+        fx.commit("3");
+        let updated = fx.publish(2);
+        // Every original the update leaves alone is overwritten in the
+        // primary's cache; the refresh does not read most of them again.
+        let tampered: Vec<String> = fx
+            .primary()
+            .service()
+            .with_repository_mut(&fx.repo, |repo| {
+                let kept: Vec<String> = repo
+                    .upstream_index()
+                    .unwrap()
+                    .iter()
+                    .filter(|e| !updated.contains(&e.name))
+                    .filter(|e| repo.sanitized_index().unwrap().get(&e.name).is_some())
+                    .map(|e| e.content_hash.clone())
+                    .collect();
+                for hash in &kept {
+                    repo.cache_mut().insert(hash, b"evil".to_vec());
+                }
+                kept
+            })
+            .unwrap();
+        // The lean pushes leave those originals out: both replicas apply.
+        fx.commit("3");
+        fx.assert_converged();
+        let still_tampered = |fx: &Fixture| {
+            let primary = fx.primary().service();
+            primary
+                .with_repository(&fx.repo, |repo| {
+                    let evil =
+                        |h: &&String| repo.cache().get(h).is_some_and(|b| b[..] == b"evil"[..]);
+                    tampered.iter().filter(evil).count()
+                })
+                .unwrap()
+        };
+        assert!(still_tampered(&fx) > 0);
+
+        // A replica that needs everything gets a full push carrying them,
+        // and refuses it.
+        let wiped = fx.replica(0).info().id.clone();
+        fx.rebuild(&wiped);
+        fx.forget_pushes();
+        fx.commit("2");
+        assert_eq!(fx.pushed_to(&wiped).len(), 2);
+        let repo = &fx.repo;
+        assert_eq!(
+            fx.applies(&wiped),
+            [
+                format!("{repo} accepted=false"),
+                format!("{repo} accepted=false")
+            ]
+        );
+        assert!(fx.replica(0).service().repository_ids().is_empty());
+        assert!(still_tampered(&fx) > 0);
     }
 
     #[test]

@@ -159,21 +159,22 @@ impl SealedState {
     }
 
     /// Decrypts and authenticates a sealed blob **without** the hardware
-    /// counter check, returning the counter value bound inside it. Used to
-    /// vet replicated seals pushed by cluster peers *before* committing
-    /// anything: a forged blob fails here, so it never reaches the WAL and
-    /// never advances the local TPM counter.
+    /// counter check, returning the state bound inside it: the counter
+    /// value and the indexes. Used to vet replicated seals pushed by
+    /// cluster peers *before* committing anything: a forged blob fails
+    /// here, so it never reaches the WAL and never advances the local TPM
+    /// counter, and the indexes say which blobs the push must complete.
     ///
     /// # Errors
     ///
     /// [`CoreError::SealedState`] for malformed or undecryptable blobs.
-    pub fn peek(blob_bytes: &[u8], enclave: &Enclave<'_>) -> Result<u64, CoreError> {
+    pub fn peek(blob_bytes: &[u8], enclave: &Enclave<'_>) -> Result<Self, CoreError> {
         let blob = SealedBlob::from_bytes(blob_bytes)
             .ok_or_else(|| CoreError::SealedState("malformed sealed blob".into()))?;
         let plain = enclave
             .unseal(&blob)
             .map_err(|e| CoreError::SealedState(e.to_string()))?;
-        Ok(Self::decode(&plain)?.counter)
+        Self::decode(&plain)
     }
 
     /// Unseals and validates state after a restart: the sealed counter must

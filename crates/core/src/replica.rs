@@ -12,17 +12,21 @@
 //! - `install` — the only place a seal is installed: sealed
 //!   blob → TPM counter replay → unseal → package cache rebuilt for
 //!   exactly the *unsealed* indexes' `TsrRepository::pins`, each blob
-//!   from the push or else the store. The cache, the store and the push
-//!   are all keyed by content hash, so no name is consulted.
+//!   from the push, else the blob the cache already holds under that
+//!   hash, else the store. The cache, the store and the push are all
+//!   keyed by content hash, so no name is consulted.
 //!
 //! A refresh is `commit(image_of(..))`; crash recovery
 //! ([`TsrService::with_store`]) and [`TsrService::crash_restart`] are one
-//! `restart`: the durable seal read from the store, then `install`;
-//! [`TsrService::apply_replicated_state`] is vet → `commit` → `install`.
+//! `restart`: the durable seal read from the store, then `install` over
+//! an emptied cache; [`TsrService::apply_replicated_state`] is vet →
+//! `commit` → `install`. A push need not carry the blobs the replica
+//! already holds: the vet refuses one that leaves out a blob the seal
+//! needs and the replica lacks.
 //! Every service has a store (in memory for [`TsrService::new`]), so
 //! none of these paths has a second arm.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use tsr_apk::Index;
@@ -79,6 +83,43 @@ pub(crate) fn image_of(repo: &TsrRepository, seal_counter: u64) -> ReplicatedSta
     }
 }
 
+/// The blobs an apply of `state` needs that `state` does not carry: every
+/// hash the sealed sanitized index pins, and every original that the
+/// pushed refs name and the sealed upstream index also pins (an original
+/// the sender never downloaded is not needed). The refs are not
+/// authenticated, so they only ever add to this set; a blob they name
+/// outside the sealed upstream index is ignored.
+///
+/// # Errors
+///
+/// [`CoreError::Package`] when a sealed index does not parse.
+fn needed_blobs(
+    sealed: &SealedState,
+    state: &ReplicatedState,
+) -> Result<BTreeSet<String>, CoreError> {
+    let hashes = |text: &str| -> Result<BTreeSet<String>, CoreError> {
+        if text.is_empty() {
+            return Ok(BTreeSet::new());
+        }
+        let index = Index::parse(text)?;
+        Ok(index.iter().map(|e| e.content_hash.clone()).collect())
+    };
+    let upstream = hashes(&sealed.upstream_index)?;
+    let mut needed = hashes(&sealed.sanitized_index)?;
+    needed.extend(
+        state
+            .packages
+            .iter()
+            .map(|(_, original, _)| original)
+            .filter(|original| upstream.contains(*original))
+            .cloned(),
+    );
+    for (hash, _) in &state.blobs {
+        needed.remove(hash);
+    }
+    Ok(needed)
+}
+
 impl TsrService {
     /// The TPM monotonic-counter value `repo`'s seal is bound to. Lock
     /// order `repository → tpm`.
@@ -131,8 +172,9 @@ impl TsrService {
     /// Restarts `repo` from its durable seal: the one path shared by crash
     /// recovery ([`TsrService::with_store`], on a freshly initialised
     /// shard) and [`TsrService::crash_restart`]. The seal and its counter
-    /// are read from the store; the in-enclave state is then dropped and
-    /// the seal installed with nothing pushed.
+    /// are read from the store; the in-enclave state and the package cache
+    /// are then dropped and the seal installed with nothing pushed, so
+    /// every blob comes back hash-checked from the store.
     ///
     /// # Errors
     ///
@@ -145,6 +187,7 @@ impl TsrService {
             .map(|durable| (durable.sealed.clone(), durable.seal_counter))
             .unwrap_or_default();
         repo.crash();
+        *repo.cache_mut() = PackageCache::new();
         self.install(repo, &sealed, counter, &[])
     }
 
@@ -154,10 +197,12 @@ impl TsrService {
     /// the unseal check requires hardware == sealed), unseals and
     /// re-signs, then rebuilds the package cache to hold exactly the
     /// *just-unsealed* indexes' [`TsrRepository::pins`] — each blob from
-    /// `pushed`, else read (and verified) from the local blob store, which
-    /// keeps no copy: the cache is the resident holder. Nothing the sender
-    /// says about which hash belongs to which package is used: the seal is
-    /// the only durable copy of the indexes, locally as in a push.
+    /// `pushed`, else the one the cache already holds under that hash,
+    /// else read (and verified) from the local blob store, which keeps no
+    /// copy: the cache is the resident holder. A kept cache entry is not
+    /// hashed again here; every serve hashes it. Nothing the sender says
+    /// about which hash belongs to which package is used: the seal is the
+    /// only durable copy of the indexes, locally as in a push.
     ///
     /// # Errors
     ///
@@ -188,7 +233,8 @@ impl TsrService {
             pushed.iter().map(|(h, b)| (h.as_str(), b)).collect();
         let mut cache = PackageCache::new();
         for hash in repo.pins() {
-            let blob = match pushed.get(hash.as_str()) {
+            let held = pushed.get(hash.as_str()).copied();
+            let blob = match held.or_else(|| repo.cache().get(&hash)) {
                 Some(blob) => Arc::clone(blob),
                 // One store-lock hold per blob, so other tenants' commits
                 // and seal reads interleave with a long cache rebuild.
@@ -227,22 +273,26 @@ impl TsrService {
     /// anti-entropy), returning the ETag of the signed index this node
     /// now serves for the repository.
     ///
-    /// The image is vetted before anything is touched: blob hashes and
-    /// the seal, which must authenticate under the shared platform
-    /// sealing key and bind exactly the counter the sender claims. A
-    /// forged push therefore costs no key generation, no TPM counter, no
-    /// WAL record — and cannot pump the counter to a forged value that
-    /// would make the node reject honest state as stale forever. Then,
-    /// under the shard lock, the rollback guard, `commit` and `install` —
-    /// the steps a local refresh and crash recovery take, so an
-    /// identical platform seed yields a byte-identical signed index.
+    /// The image is vetted before anything is touched: blob hashes, the
+    /// seal, which must authenticate under the shared platform sealing key
+    /// and bind exactly the counter the sender claims, and completeness:
+    /// every blob the sealed indexes need (see `needed_blobs`) must be
+    /// pushed, in the tenant's cache or in the store. A forged or
+    /// incomplete push therefore costs no key generation, no TPM counter,
+    /// no WAL record — and a forged one cannot pump the counter to a value
+    /// that would make the node reject honest state as stale forever.
+    /// Then, under the shard lock, the rollback guard, `commit` and
+    /// `install` — the steps a local refresh and crash recovery take, so
+    /// an identical platform seed yields a byte-identical signed index.
     ///
     /// # Errors
     ///
     /// [`CoreError::Policy`] for unparsable policies,
     /// [`CoreError::SealedState`] for blob-hash mismatches or seals that
-    /// do not unseal, [`CoreError::RollbackDetected`] when the pushed
-    /// seal counter is older than what this node already holds.
+    /// do not unseal, [`CoreError::NotFound`] naming the needed blobs the
+    /// push leaves out and this node lacks, [`CoreError::RollbackDetected`]
+    /// when the pushed seal counter is older than what this node already
+    /// holds.
     pub fn apply_replicated_state(&self, state: &ReplicatedState) -> Result<String, CoreError> {
         let policy = Policy::parse(&state.policy_text)?;
         for (hash, blob) in &state.blobs {
@@ -252,19 +302,28 @@ impl TsrService {
                 )));
             }
         }
+        let mut needed = BTreeSet::new();
         if !state.sealed.is_empty() {
-            let bound = SealedState::peek(&state.sealed, &self.enclave())?;
-            if bound != state.seal_counter {
+            let sealed = SealedState::peek(&state.sealed, &self.enclave())?;
+            if sealed.counter != state.seal_counter {
                 return Err(CoreError::SealedState(format!(
-                    "replicated seal binds counter {bound}, sender claims {}",
-                    state.seal_counter
+                    "replicated seal binds counter {}, sender claims {}",
+                    sealed.counter, state.seal_counter
                 )));
             }
+            needed = needed_blobs(&sealed, state)?;
         }
         let existing = self.repo(&state.id).ok();
         let is_new = existing.is_none();
-        let shard =
-            existing.unwrap_or_else(|| Arc::new(Mutex::new(self.init_repo(&state.id, policy))));
+        let shard = match existing {
+            Some(shard) => shard,
+            None => {
+                // A new tenant has no cache yet: vet before the shard, its
+                // key and its TPM counter exist.
+                self.check_held(&needed, &PackageCache::new())?;
+                Arc::new(Mutex::new(self.init_repo(&state.id, policy)))
+            }
+        };
         let mut repo = live(&shard)?;
         // Rollback guard: a replica never moves its counter backwards.
         let current = self.seal_counter(&repo)?;
@@ -273,6 +332,10 @@ impl TsrService {
                 "replicated seal counter {} behind local {current}",
                 state.seal_counter
             )));
+        }
+        if !is_new {
+            // Under the shard lock, so `install` finds what was checked.
+            self.check_held(&needed, repo.cache())?;
         }
         self.commit(state, is_new)?;
         self.install(&mut repo, &state.sealed, state.seal_counter, &state.blobs)?;
@@ -285,6 +348,28 @@ impl TsrService {
         self.hot().publish(&state.id, repo.signed_index_etag());
         self.metrics().cluster_replicated_applies.inc();
         Ok(repo.signed_index_etag().unwrap_or_default().to_string())
+    }
+
+    /// Refuses the apply unless every hash in `needed` is in `cache` or in
+    /// the blob store, which never drops a blob.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NotFound`] naming every hash that is in neither.
+    fn check_held(&self, needed: &BTreeSet<String>, cache: &PackageCache) -> Result<(), CoreError> {
+        let eng = lock(&self.shared.store);
+        let lacking: Vec<&str> = needed
+            .iter()
+            .filter(|hash| cache.get(hash).is_none() && !eng.has_blob(hash))
+            .map(String::as_str)
+            .collect();
+        if lacking.is_empty() {
+            return Ok(());
+        }
+        Err(CoreError::NotFound(format!(
+            "replicated push lacks blobs this node does not hold: {}",
+            lacking.join(" ")
+        )))
     }
 
     /// Per-repository replication digest: `(id, signed-index ETag, seal
@@ -706,6 +791,133 @@ mod tests {
         replica
             .apply_replicated_state(&primary.export_replicated_state(&id).unwrap())
             .unwrap();
+        assert_eq!(served(&replica, &id), served(&primary, &id));
+    }
+
+    /// `image` less every blob `held` carries: what a primary pushes to a
+    /// replica that acked `held`.
+    fn lean(image: &ReplicatedState, held: &ReplicatedState) -> ReplicatedState {
+        let mut lean = image.clone();
+        lean.blobs
+            .retain(|(h, _)| held.blobs.iter().all(|(k, _)| k != h));
+        lean
+    }
+
+    /// A primary with `tool` and `extra` refreshed once, a replica that
+    /// applied that image over its own store, the image, and the
+    /// primary's next image after `extra` moved to 1.1 upstream.
+    fn caught_up_replica(
+        fs: &Arc<Mutex<SimFs>>,
+    ) -> (
+        TsrService,
+        TsrService,
+        String,
+        ReplicatedState,
+        ReplicatedState,
+    ) {
+        let primary = service();
+        let publish = |pkgs: &[(&str, &str)], id| {
+            primary.with_mirrors(|ms| tsr_mirror::publish_to_all(ms, &snapshot(id, pkgs)));
+        };
+        publish(&[("tool", "1.0"), ("extra", "1.0")], 2);
+        let (id, _) = primary.create_repository(&policy_text()).unwrap();
+        primary.refresh(&id).unwrap();
+        let first = primary.export_replicated_state(&id).unwrap();
+        let (replica, _) = stored_service(fs);
+        replica.apply_replicated_state(&first).unwrap();
+        publish(&[("tool", "1.0"), ("extra", "1.1")], 3);
+        primary.refresh(&id).unwrap();
+        let next = primary.export_replicated_state(&id).unwrap();
+        (primary, replica, id, first, next)
+    }
+
+    #[test]
+    fn a_lean_push_applies_on_a_caught_up_replica() {
+        let fs = Arc::new(Mutex::new(SimFs::new()));
+        let (primary, replica, id, first, next) = caught_up_replica(&fs);
+        let lean = lean(&next, &first);
+        // Only `extra` 1.1's original and sanitized blobs are new.
+        assert_eq!(lean.blobs.len(), 2, "{:?}", lean.blobs);
+        assert_eq!(
+            replica.apply_replicated_state(&lean).unwrap(),
+            next.index_etag
+        );
+        let want = served(&primary, &id);
+        assert_eq!(served(&replica, &id), want);
+        // The cache holds exactly the pins, each under its own bytes.
+        assert_eq!(want.cache_entries, want.cached.len());
+        assert!(want.cached.iter().all(|(h, got)| got.as_ref() == Some(h)));
+    }
+
+    #[test]
+    fn a_lean_push_the_replica_cannot_complete_is_refused_without_side_effects() {
+        let fs = Arc::new(Mutex::new(SimFs::new()));
+        let (primary, replica, id, first, next) = caught_up_replica(&fs);
+        let extra = primary
+            .with_repository(&id, |repo| pinned(repo, "extra"))
+            .unwrap();
+        // The new sanitized `extra` is left out too, and the replica holds
+        // it neither in its cache nor in its store.
+        let mut short = lean(&next, &first);
+        short.blobs.retain(|(h, _)| *h != extra);
+        assert_eq!(short.blobs.len(), 1);
+        let counter = |svc: &TsrService| {
+            let digest = svc.replication_digest();
+            digest.into_iter().find(|(r, _, _)| *r == id).unwrap().2
+        };
+        let (wal_before, counter_before) = (wal(&fs), counter(&replica));
+        let before = served(&replica, &id);
+        let err = replica.apply_replicated_state(&short).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::NotFound(m) if m.contains(&extra)),
+            "{err:?}"
+        );
+        assert_eq!(wal(&fs), wal_before);
+        assert_eq!(counter(&replica), counter_before);
+        assert_eq!(served(&replica, &id), before);
+
+        // The full image then applies.
+        replica.apply_replicated_state(&next).unwrap();
+        assert_eq!(served(&replica, &id), served(&primary, &id));
+
+        // A node that never hosted the tenant is refused before a shard,
+        // a WAL record or a TPM counter exists.
+        let (stranger, _) = stored_service(&Arc::new(Mutex::new(SimFs::new())));
+        assert!(matches!(
+            stranger.apply_replicated_state(&lean(&next, &first)),
+            Err(CoreError::NotFound(_))
+        ));
+        assert!(stranger.repository_ids().is_empty());
+        assert_eq!(stranger.event_counter("wal_appends").get(), 0);
+        assert_eq!(lock(&stranger.shared.tpm).create_counter(), 0);
+    }
+
+    #[test]
+    fn a_tampered_unchanged_replica_cache_entry_survives_a_lean_push() {
+        let fs = Arc::new(Mutex::new(SimFs::new()));
+        let (primary, replica, id, first, next) = caught_up_replica(&fs);
+        let pkg = primary.fetch_package(&id, "tool").unwrap();
+        replica
+            .with_repository_mut(&id, |repo| {
+                let hash = pinned(repo, "tool");
+                repo.cache_mut().insert(&hash, b"evil".to_vec());
+            })
+            .unwrap();
+        // `tool` is unchanged, so the lean push does not carry it and the
+        // replica keeps the entry it holds…
+        replica
+            .apply_replicated_state(&lean(&next, &first))
+            .unwrap();
+        // …which no serve ever answers with…
+        assert!(matches!(
+            replica.fetch_package(&id, "tool"),
+            Err(CoreError::RollbackDetected(_))
+        ));
+        // …and a crash-restart replaces from the store.
+        for (_, outcome) in replica.crash_restart() {
+            outcome.unwrap();
+        }
+        assert_eq!(replica.fetch_package(&id, "tool").unwrap(), pkg);
         assert_eq!(served(&replica, &id), served(&primary, &id));
     }
 

@@ -83,7 +83,8 @@ impl WireDto for ClusterConfigDto {
 /// a byte-identical copy. It is what `TsrService::export_replicated_state`
 /// returns and `apply_replicated_state` takes, the body of
 /// `POST /v1/cluster/replicate` and the response of
-/// `GET /v1/cluster/seal/{id}` (anti-entropy pull).
+/// `GET /v1/cluster/seal/{id}` (anti-entropy pull). A replicate push may
+/// leave out blobs the receiver already holds (see [`Self::blobs`]).
 ///
 /// Payloads are binary here; hex exists only in the JSON (`sealed_hex`,
 /// `blobs[].bytes_hex`). The seal is TPM-bound: a replica installs it the
@@ -108,7 +109,11 @@ pub struct ReplicatedState {
     pub seal_counter: u64,
     /// ETag of the signed sanitized index (the replication vote value).
     pub index_etag: String,
-    /// Content-addressed blob payloads, `(hex SHA-256, bytes)`.
+    /// Content-addressed blob payloads, `(hex SHA-256, bytes)`. An export
+    /// carries every cached blob the upstream index names. A replicate
+    /// push carries only those its receiver did not ack last time; a
+    /// receiver that lacks one the seal needs refuses the push, and the
+    /// primary then pushes the export in full.
     pub blobs: Vec<(String, Arc<[u8]>)>,
 }
 

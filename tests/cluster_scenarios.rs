@@ -1,6 +1,6 @@
 //! Tier: cluster — deterministic multi-node scenarios over the
 //! `tsr-cluster` layer, plus a real-HTTP replica read verified by the
-//! typed client.
+//! typed client and replication pushed between nodes over real sockets.
 //!
 //! Each canned cluster scenario builds N store-backed `TsrService`
 //! nodes sharing one platform seed, wires them through the in-process
@@ -15,11 +15,13 @@
 //! `$CARGO_TARGET_TMPDIR/cluster-traces/<name>.trace`; CI uploads that
 //! directory as an artifact when this tier fails.
 
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use tsr::apk::Index;
 use tsr::cluster::sim::{canned_cluster_scenarios, ClusterSimReport};
-use tsr::cluster::{ClusterNode, LocalCluster, Ring};
+use tsr::cluster::{ClusterNode, HttpTransport, LocalCluster, Ring};
 use tsr::core::service::ENCLAVE_CODE;
 use tsr::core::TsrService;
 use tsr::crypto::RsaPublicKey;
@@ -146,20 +148,7 @@ fn replica_serves_verified_state_over_real_http() {
         publish_to_all(&mut ms, &upstream.snapshot());
         ms
     };
-    let policy = tsr::core::Policy {
-        mirrors: make_mirrors()
-            .iter()
-            .map(|m| tsr::core::MirrorRef {
-                hostname: m.name.clone(),
-                continent: m.continent,
-            })
-            .collect(),
-        signers_keys: vec![upstream.signing_key.public_key().clone()],
-        init_config_files: Vec::new(),
-        f: 1,
-        package_whitelist: Vec::new(),
-        package_blacklist: Vec::new(),
-    };
+    let policy = policy_for(&upstream, &make_mirrors());
     let infos: Vec<NodeInfoDto> = (0..3)
         .map(|i| NodeInfoDto {
             id: format!("node-{i}"),
@@ -243,4 +232,196 @@ fn replica_serves_verified_state_over_real_http() {
     let seal = client.cluster_seal(&repo).unwrap();
     assert_eq!(seal.id, repo);
     assert!(seal.seal_counter > 0);
+}
+
+/// The policy of a tenant that trusts `upstream`, served by `mirrors`.
+fn policy_for(upstream: &GeneratedRepo, mirrors: &[Mirror]) -> tsr::core::Policy {
+    tsr::core::Policy {
+        mirrors: mirrors
+            .iter()
+            .map(|m| tsr::core::MirrorRef {
+                hostname: m.name.clone(),
+                continent: m.continent,
+            })
+            .collect(),
+        signers_keys: vec![upstream.signing_key.public_key().clone()],
+        init_config_files: Vec::new(),
+        f: 1,
+        package_whitelist: Vec::new(),
+        package_blacklist: Vec::new(),
+    }
+}
+
+/// Replication over real sockets: three nodes, each pushing through its
+/// own `HttpTransport`. After one changed package the pushes carry only
+/// the new blobs; a replica rebuilt over an empty store nacks its lean
+/// push and converges on the full one that follows.
+#[test]
+fn lean_pushes_over_real_http_converge_and_a_wiped_replica_takes_the_full_push() {
+    // A cold refresh sanitizes the whole tenant before it answers; an
+    // unoptimised build on a slow runner needs the headroom.
+    const TIMEOUT: Duration = Duration::from_secs(300);
+    let mut upstream = GeneratedRepo::generate(tsr::sim::default_workload("cluster-lean", seed()));
+    let mirrors = |upstream: &GeneratedRepo| {
+        let mut ms: Vec<Mirror> = (0..3)
+            .map(|i| Mirror::new(format!("m{i}"), Continent::Europe))
+            .collect();
+        publish_to_all(&mut ms, &upstream.snapshot());
+        ms
+    };
+    let build = |info: &NodeInfoDto, config: &ClusterConfigDto, upstream: &GeneratedRepo| {
+        let fs = Arc::new(Mutex::new(SimFs::new()));
+        let (service, _) = TsrService::with_store(
+            b"cluster-lean-seed",
+            mirrors(upstream),
+            LatencyModel::default(),
+            1024,
+            Box::new(SimFsBackend::new(fs, "/store")),
+        )
+        .unwrap();
+        let transport = Arc::new(HttpTransport::new(TIMEOUT));
+        ClusterNode::new(info.clone(), service, config.clone(), transport)
+    };
+    // Bind every node first, then gossip the config that names the
+    // bound addresses.
+    let mut infos: Vec<NodeInfoDto> = (0..3)
+        .map(|i| NodeInfoDto {
+            id: format!("node-{i}"),
+            base_url: String::new(),
+            continent: "Europe".into(),
+        })
+        .collect();
+    let mut config = ClusterConfigDto {
+        epoch: 1,
+        replication: 2,
+        nodes: infos.clone(),
+    };
+    let mut nodes: Vec<ClusterNode> = infos
+        .iter()
+        .map(|info| build(info, &config, &upstream))
+        .collect();
+    let mut servers: Vec<_> = nodes
+        .iter()
+        .map(|n| Some(n.serve("127.0.0.1:0").unwrap()))
+        .collect();
+    let addrs: Vec<String> = servers
+        .iter()
+        .map(|s| s.as_ref().unwrap().local_addr().to_string())
+        .collect();
+    for (info, addr) in infos.iter_mut().zip(&addrs) {
+        info.base_url = format!("http://{addr}");
+    }
+    config.epoch = 2;
+    config.nodes = infos.clone();
+    for node in &nodes {
+        assert_eq!(node.join(&config).epoch, 2);
+    }
+
+    let ring = Ring::new(config.clone());
+    let at = |id: &str| infos.iter().position(|i| i.id == id).unwrap();
+    let allocator = &nodes[at(&ring.allocator().unwrap().id)];
+    let policy = policy_for(&upstream, &mirrors(&upstream));
+    let (repo, pem) = allocator
+        .service()
+        .create_repository(&policy.to_text())
+        .unwrap();
+    let repo_key = RsaPublicKey::from_pem(&pem).unwrap();
+    allocator.bootstrap(&repo);
+    let owners: Vec<usize> = ring.owners(&repo).iter().map(|o| at(&o.id)).collect();
+    let primary = owners[0];
+    let wiped = owners[1];
+
+    // A refresh posted to the primary's socket, which pushes to the
+    // replicas' sockets.
+    let refresh = |nodes: &[ClusterNode]| {
+        let url = format!("http://{}/v1/repositories/{repo}/refresh", addrs[primary]);
+        let resp = tsr::http::Client::with_timeout(TIMEOUT)
+            .post(&url, &[])
+            .unwrap();
+        assert_eq!(
+            resp.status,
+            200,
+            "{:?}",
+            String::from_utf8_lossy(&resp.body)
+        );
+        assert_eq!(resp.headers.get("x-tsr-cluster-acks").unwrap(), "3");
+        let state = nodes[primary].export_seal(&repo).unwrap();
+        let hashes: BTreeSet<String> = state.blobs.iter().map(|(h, _)| h.clone()).collect();
+        (state, hashes)
+    };
+    let pushed = |nodes: &[ClusterNode]| {
+        let service = nodes[primary].service();
+        service.event_counter("cluster_replicate_blob_bytes").get()
+    };
+    let bytes_of = |state: &tsr::core::ReplicatedState, keep: &dyn Fn(&String) -> bool| {
+        let kept = state.blobs.iter().filter(|(h, _)| keep(h));
+        kept.map(|(_, b)| b.len() as u64).sum::<u64>()
+    };
+    let publish = |upstream: &mut GeneratedRepo, nodes: &[ClusterNode]| {
+        assert_eq!(upstream.publish_update(1).len(), 1);
+        let snapshot = upstream.snapshot();
+        for node in nodes {
+            node.service()
+                .with_mirrors(|ms| publish_to_all(ms, &snapshot));
+        }
+    };
+
+    // The first push is full; after one changed package, each replica
+    // gets only the blobs that change added.
+    let (first, acked) = refresh(&nodes);
+    assert_eq!(pushed(&nodes), 2 * bytes_of(&first, &|_| true));
+    publish(&mut upstream, &nodes);
+    let before = pushed(&nodes);
+    let (second, hashes) = refresh(&nodes);
+    let added = bytes_of(&second, &|h| !acked.contains(h));
+    assert!(0 < added && added < bytes_of(&second, &|_| true));
+    assert_eq!(pushed(&nodes) - before, 2 * added);
+
+    // Wipe one replica: a fresh node over an empty store, on the same
+    // address. Its lean push is refused, the full push applies.
+    drop(servers[wiped].take());
+    nodes[wiped] = build(&infos[wiped], &config, &upstream);
+    servers[wiped] = Some(nodes[wiped].serve(&addrs[wiped]).unwrap());
+    let before = pushed(&nodes);
+    let (third, _) = refresh(&nodes);
+    let lean = bytes_of(&third, &|h| !hashes.contains(h));
+    assert_eq!(
+        pushed(&nodes) - before,
+        2 * lean + bytes_of(&third, &|_| true)
+    );
+    let applies: Vec<String> = nodes[wiped]
+        .service()
+        .obs_journal()
+        .drain()
+        .into_iter()
+        .filter(|e| e.kind == "replicate_apply")
+        .map(|e| e.detail)
+        .collect();
+    assert_eq!(
+        applies,
+        [
+            format!("{repo} accepted=false"),
+            format!("{repo} accepted=true")
+        ]
+    );
+
+    // Every node serves the same verified index and package bytes.
+    let clients: Vec<TsrClient> = addrs
+        .iter()
+        .map(|a| TsrClient::new(format!("http://{a}")))
+        .collect();
+    let (index, _) = clients[primary].index(&repo).unwrap();
+    let signer = format!("tsr-{repo}");
+    let signed = Index::parse_signed(&index, &[(signer, repo_key)]).unwrap();
+    for client in &clients {
+        assert_eq!(client.index(&repo).unwrap().0, index);
+        for entry in signed.iter() {
+            assert_eq!(
+                client.package(&repo, &entry.name).unwrap(),
+                clients[primary].package(&repo, &entry.name).unwrap(),
+                "{}",
+                entry.name
+            );
+        }
+    }
 }
