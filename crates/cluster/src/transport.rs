@@ -296,7 +296,7 @@ impl NodeTransport for LocalTransport {
 }
 
 /// A [`NodeTransport`] over real HTTP: one pooled [`TsrClient`] per
-/// target node, plus a raw client for forwarded requests.
+/// target address, plus a raw client for forwarded requests.
 pub struct HttpTransport {
     timeout: Duration,
     clients: Mutex<BTreeMap<String, TsrClient>>,
@@ -311,14 +311,15 @@ impl HttpTransport {
         }
     }
 
-    /// Runs `f` with the pooled client for `node` (created on first
-    /// use). The pool lock is held across the call, serializing requests
-    /// per target — acceptable for the control-plane traffic this
-    /// transport carries.
+    /// Runs `f` with the pooled client for `node`'s address (created on
+    /// first use), so a node a newer config moved is reached where it now
+    /// listens. The pool lock is held across the call, serializing
+    /// requests per target — acceptable for the control-plane traffic
+    /// this transport carries.
     fn with_client<R>(&self, node: &NodeInfoDto, f: impl FnOnce(&TsrClient) -> R) -> R {
         let mut clients = self.clients.lock().unwrap_or_else(PoisonError::into_inner);
         let client = clients
-            .entry(node.id.clone())
+            .entry(node.base_url.clone())
             .or_insert_with(|| TsrClient::pooled(node.base_url.clone(), self.timeout));
         f(client)
     }
@@ -377,5 +378,36 @@ impl NodeTransport for HttpTransport {
     ) -> Result<ClusterConfigDto, ClusterError> {
         self.with_client(to, |c| c.cluster_join(config))
             .map_err(wire_err)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tsr_http::Server;
+    use tsr_wire::WireDto;
+
+    /// A server that answers every request with node `name`'s digest.
+    fn digest_server(name: &str) -> Server {
+        let digest = ClusterDigestDto {
+            node: name.into(),
+            epoch: 1,
+            repos: Vec::new(),
+        };
+        let body = digest.encode();
+        Server::bind("127.0.0.1:0", move |_| Response::json(200, body.clone())).unwrap()
+    }
+
+    #[test]
+    fn a_node_that_moved_is_reached_at_its_new_address() {
+        let (first, second) = (digest_server("first"), digest_server("second"));
+        let peer = |server: &Server| NodeInfoDto {
+            id: "peer".into(),
+            base_url: format!("http://{}", server.local_addr()),
+            continent: "Europe".into(),
+        };
+        let transport = HttpTransport::new(Duration::from_secs(10));
+        assert_eq!(transport.digest(&peer(&first)).unwrap().node, "first");
+        assert_eq!(transport.digest(&peer(&second)).unwrap().node, "second");
     }
 }

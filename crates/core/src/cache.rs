@@ -25,6 +25,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use tsr_apk::Index;
 use tsr_crypto::{hex, Sha256};
 use tsr_sgx::{Enclave, SealedBlob};
 use tsr_tpm::Tpm;
@@ -139,6 +140,17 @@ impl SealedState {
         })
     }
 
+    /// The upstream and sanitized indexes, parsed (`None` for an empty
+    /// text: before the first refresh).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Package`] when an index does not parse.
+    pub(crate) fn indexes(&self) -> Result<(Option<Index>, Option<Index>), CoreError> {
+        let parse = |text: &str| (!text.is_empty()).then(|| Index::parse(text)).transpose();
+        Ok((parse(&self.upstream_index)?, parse(&self.sanitized_index)?))
+    }
+
     /// Seals this state: increments the monotonic counter, binds the new
     /// value into the blob, and encrypts it for (enclave, CPU).
     ///
@@ -177,9 +189,9 @@ impl SealedState {
         Self::decode(&plain)
     }
 
-    /// Unseals and validates state after a restart: the sealed counter must
-    /// equal the current hardware counter, otherwise an adversary replaced
-    /// the sealed file with an older one.
+    /// Unseals and validates state after a restart: [`Self::peek`], then
+    /// the sealed counter must equal the current hardware counter,
+    /// otherwise an adversary replaced the sealed file with an older one.
     ///
     /// # Errors
     ///
@@ -191,12 +203,7 @@ impl SealedState {
         tpm: &Tpm,
         counter_id: u32,
     ) -> Result<Self, CoreError> {
-        let blob = SealedBlob::from_bytes(blob_bytes)
-            .ok_or_else(|| CoreError::SealedState("malformed sealed blob".into()))?;
-        let plain = enclave
-            .unseal(&blob)
-            .map_err(|e| CoreError::SealedState(e.to_string()))?;
-        let state = Self::decode(&plain)?;
+        let state = Self::peek(blob_bytes, enclave)?;
         let current = tpm
             .read_counter(counter_id)
             .map_err(|e| CoreError::SealedState(e.to_string()))?;

@@ -3,26 +3,27 @@
 //! way in, shared by a local refresh, crash recovery, a replicated push
 //! and an anti-entropy pull:
 //!
-//! - `image_of` — the only walk over *upstream index ×
-//!   package cache*;
+//! - `image_of` — the way out: every cached blob the repository
+//!   pins (`TsrRepository::pins`, its indexes under its policy);
 //! - `commit` — the only place state becomes durable: `RepoCreated`
 //!   for a new tenant, blobs into the content-addressed store, then one
 //!   `SealUpdated` record — the seal is the only durable copy of the
 //!   indexes, so a refresh is one WAL frame, all or nothing;
-//! - `install` — the only place a seal is installed: sealed
-//!   blob → TPM counter replay → unseal → package cache rebuilt for
-//!   exactly the *unsealed* indexes' `TsrRepository::pins`, each blob
-//!   from the push, else the blob the cache already holds under that
-//!   hash, else the store. The cache, the store and the push are all
-//!   keyed by content hash, so no name is consulted.
+//! - `gather` — the only place a tenant's cache is filled from outside a
+//!   refresh: each pinned blob from the push, else the blob the cache
+//!   already holds under that hash, else the store. The cache, the store
+//!   and the push are all keyed by content hash, so no name is consulted;
+//! - `install` — the only place a seal is installed: sealed blob → TPM
+//!   counter replay → unseal → re-sign.
 //!
 //! A refresh is `commit(image_of(..))`; crash recovery
 //! ([`TsrService::with_store`]) and [`TsrService::crash_restart`] are one
-//! `restart`: the durable seal read from the store, then `install` over
-//! an emptied cache; [`TsrService::apply_replicated_state`] is vet →
-//! `commit` → `install`. A push need not carry the blobs the replica
-//! already holds: the vet refuses one that leaves out a blob the seal
-//! needs and the replica lacks.
+//! `restart`: the durable seal read from the store and installed, then
+//! the cache gathered from the store alone;
+//! [`TsrService::apply_replicated_state`] is vet → `gather` → `commit` →
+//! `install`. The seal and the tenant's policy alone say what a tenant
+//! holds: a push need not carry the blobs the replica already holds, and
+//! one that leaves out a pinned blob the replica lacks is refused.
 //! Every service has a store (in memory for [`TsrService::new`]), so
 //! none of these paths has a second arm.
 
@@ -37,87 +38,28 @@ pub use tsr_wire::ReplicatedState;
 use crate::cache::{PackageCache, SealedState};
 use crate::error::CoreError;
 use crate::policy::Policy;
-use crate::repository::TsrRepository;
+use crate::repository::{pins_of, TsrRepository};
 use crate::service::{live, lock, seal_err, store_err, TsrService};
 
 /// The image of `repo` as it stands: policy, index texts, the sealed
 /// metadata with `seal_counter` (the TPM counter value it is bound to), and
-/// every cached blob the upstream index names (deduplicated by content
-/// hash).
+/// every cached blob it pins.
 pub(crate) fn image_of(repo: &TsrRepository, seal_counter: u64) -> ReplicatedState {
-    let upstream = repo.upstream_index();
-    let sanitized = repo.sanitized_index();
-    let mut packages = Vec::new();
-    let mut blobs: Vec<(String, Arc<[u8]>)> = Vec::new();
-    let mut have = std::collections::BTreeSet::new();
-    for entry in upstream.into_iter().flat_map(|idx| idx.iter()) {
-        // Policy-excluded packages were never downloaded.
-        let Some(orig) = repo.cache().get(&entry.content_hash) else {
-            continue;
-        };
-        if have.insert(entry.content_hash.clone()) {
-            blobs.push((entry.content_hash.clone(), Arc::clone(orig)));
-        }
-        // Empty for a package the sanitizer rejected.
-        let shash = sanitized
-            .and_then(|idx| idx.get(&entry.name))
-            .map(|e| e.content_hash.clone())
-            .unwrap_or_default();
-        if !shash.is_empty() && have.insert(shash.clone()) {
-            if let Some(san) = repo.cache().get(&shash) {
-                blobs.push((shash.clone(), Arc::clone(san)));
-            }
-        }
-        packages.push((entry.name.clone(), entry.content_hash.clone(), shash));
-    }
+    let text = |index: Option<&Index>| index.map(Index::to_text).unwrap_or_default();
+    let cached = |hash: String| {
+        let blob = Arc::clone(repo.cache().get(&hash)?);
+        Some((hash, blob))
+    };
     ReplicatedState {
         id: repo.id.clone(),
         policy_text: repo.policy().to_text(),
-        upstream_index: upstream.map(Index::to_text).unwrap_or_default(),
-        sanitized_index: sanitized.map(Index::to_text).unwrap_or_default(),
-        packages,
+        upstream_index: text(repo.upstream_index()),
+        sanitized_index: text(repo.sanitized_index()),
         sealed: repo.sealed_disk().map(<[u8]>::to_vec).unwrap_or_default(),
         seal_counter,
         index_etag: repo.signed_index_etag().unwrap_or_default().to_string(),
-        blobs,
+        blobs: repo.pins().into_iter().filter_map(cached).collect(),
     }
-}
-
-/// The blobs an apply of `state` needs that `state` does not carry: every
-/// hash the sealed sanitized index pins, and every original that the
-/// pushed refs name and the sealed upstream index also pins (an original
-/// the sender never downloaded is not needed). The refs are not
-/// authenticated, so they only ever add to this set; a blob they name
-/// outside the sealed upstream index is ignored.
-///
-/// # Errors
-///
-/// [`CoreError::Package`] when a sealed index does not parse.
-fn needed_blobs(
-    sealed: &SealedState,
-    state: &ReplicatedState,
-) -> Result<BTreeSet<String>, CoreError> {
-    let hashes = |text: &str| -> Result<BTreeSet<String>, CoreError> {
-        if text.is_empty() {
-            return Ok(BTreeSet::new());
-        }
-        let index = Index::parse(text)?;
-        Ok(index.iter().map(|e| e.content_hash.clone()).collect())
-    };
-    let upstream = hashes(&sealed.upstream_index)?;
-    let mut needed = hashes(&sealed.sanitized_index)?;
-    needed.extend(
-        state
-            .packages
-            .iter()
-            .map(|(_, original, _)| original)
-            .filter(|original| upstream.contains(*original))
-            .cloned(),
-    );
-    for (hash, _) in &state.blobs {
-        needed.remove(hash);
-    }
-    Ok(needed)
 }
 
 impl TsrService {
@@ -173,12 +115,13 @@ impl TsrService {
     /// recovery ([`TsrService::with_store`], on a freshly initialised
     /// shard) and [`TsrService::crash_restart`]. The seal and its counter
     /// are read from the store; the in-enclave state and the package cache
-    /// are then dropped and the seal installed with nothing pushed, so
-    /// every blob comes back hash-checked from the store.
+    /// are dropped, the seal is installed, and only then is every pinned
+    /// blob read back hash-checked from the store. A pin the store lacks
+    /// is left out: the next refresh downloads it again.
     ///
     /// # Errors
     ///
-    /// As [`Self::install`].
+    /// As [`Self::install`] and [`Self::gather`].
     pub(crate) fn restart(&self, repo: &mut TsrRepository) -> Result<(), CoreError> {
         let (sealed, counter) = lock(&self.shared.store)
             .state()
@@ -188,71 +131,87 @@ impl TsrService {
             .unwrap_or_default();
         repo.crash();
         *repo.cache_mut() = PackageCache::new();
-        self.install(repo, &sealed, counter, &[])
+        self.install(repo, &sealed, counter)?;
+        let (cache, _) = self.gather(&repo.pins(), &[], &PackageCache::new())?;
+        *repo.cache_mut() = cache;
+        Ok(())
     }
 
     /// Installs a seal into `repo` (the empty seal of a never-refreshed
     /// repository unseals nothing): sets the sealed blob, replays the TPM
     /// monotonic counter up to `counter` (a fresh counter starts at 0 and
     /// the unseal check requires hardware == sealed), unseals and
-    /// re-signs, then rebuilds the package cache to hold exactly the
-    /// *just-unsealed* indexes' [`TsrRepository::pins`] — each blob from
-    /// `pushed`, else the one the cache already holds under that hash,
-    /// else read (and verified) from the local blob store, which keeps no
-    /// copy: the cache is the resident holder. A kept cache entry is not
-    /// hashed again here; every serve hashes it. Nothing the sender says
-    /// about which hash belongs to which package is used: the seal is the
-    /// only durable copy of the indexes, locally as in a push.
+    /// re-signs. The package cache is the caller's: [`Self::gather`]
+    /// fills it for the unsealed indexes' pins.
     ///
     /// # Errors
     ///
     /// [`CoreError::SealedState`] / [`CoreError::RollbackDetected`] when
     /// the seal does not unseal at `counter`.
-    pub(crate) fn install(
+    fn install(
         &self,
         repo: &mut TsrRepository,
         sealed: &[u8],
         counter: u64,
-        pushed: &[(String, Arc<[u8]>)],
     ) -> Result<(), CoreError> {
-        if !sealed.is_empty() {
-            repo.set_sealed_disk(sealed.to_vec());
-            // The TPM lock covers the counter replay and the unseal check
-            // only; the re-sign runs after it is released.
-            let state = {
-                let mut tpm = lock(&self.shared.tpm);
-                let cid = repo.counter_id();
-                while tpm.read_counter(cid).map_err(seal_err)? < counter {
-                    tpm.increment_counter(cid).map_err(seal_err)?;
-                }
-                repo.unseal(&self.enclave(), &tpm)?
-            };
-            repo.restore_unsealed(state)?;
+        if sealed.is_empty() {
+            return Ok(());
         }
+        repo.set_sealed_disk(sealed.to_vec());
+        // The TPM lock covers the counter replay and the unseal check
+        // only; the re-sign runs after it is released.
+        let state = {
+            let mut tpm = lock(&self.shared.tpm);
+            let cid = repo.counter_id();
+            while tpm.read_counter(cid).map_err(seal_err)? < counter {
+                tpm.increment_counter(cid).map_err(seal_err)?;
+            }
+            repo.unseal(&self.enclave(), &tpm)?
+        };
+        repo.restore_unsealed(state)
+    }
+
+    /// A package cache holding every blob of `pins`, each from `pushed`,
+    /// else from `held` (a tenant's current cache: a kept entry is not
+    /// hashed again here, every serve hashes it), else read and verified
+    /// from the local blob store, which keeps no copy. Also returns the
+    /// pins found in none of the three.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::SealedState`] when a store read fails, or its bytes
+    /// do not hash to their name.
+    fn gather(
+        &self,
+        pins: &BTreeSet<String>,
+        pushed: &[(String, Arc<[u8]>)],
+        held: &PackageCache,
+    ) -> Result<(PackageCache, Vec<String>), CoreError> {
         let pushed: BTreeMap<&str, &Arc<[u8]>> =
             pushed.iter().map(|(h, b)| (h.as_str(), b)).collect();
         let mut cache = PackageCache::new();
-        for hash in repo.pins() {
-            let held = pushed.get(hash.as_str()).copied();
-            let blob = match held.or_else(|| repo.cache().get(&hash)) {
+        let mut lacking = Vec::new();
+        for hash in pins {
+            let blob = match pushed
+                .get(hash.as_str())
+                .copied()
+                .or_else(|| held.get(hash))
+            {
                 Some(blob) => Arc::clone(blob),
                 // One store-lock hold per blob, so other tenants' commits
                 // and seal reads interleave with a long cache rebuild.
                 None => {
                     let eng = lock(&self.shared.store);
-                    // Policy-excluded upstream entries were never
-                    // downloaded; anything else missing re-downloads on
-                    // the next refresh.
-                    if !eng.has_blob(&hash) {
+                    if !eng.has_blob(hash) {
+                        lacking.push(hash.clone());
                         continue;
                     }
-                    eng.get_blob(&hash).map_err(store_err)?
+                    eng.get_blob(hash).map_err(store_err)?
                 }
             };
-            cache.insert(&hash, blob);
+            cache.insert(hash, blob);
         }
-        *repo.cache_mut() = cache;
-        Ok(())
+        Ok((cache, lacking))
     }
 
     /// Exports the image of one repository — what a cluster primary
@@ -276,23 +235,25 @@ impl TsrService {
     /// The image is vetted before anything is touched: blob hashes, the
     /// seal, which must authenticate under the shared platform sealing key
     /// and bind exactly the counter the sender claims, and completeness:
-    /// every blob the sealed indexes need (see `needed_blobs`) must be
-    /// pushed, in the tenant's cache or in the store. A forged or
-    /// incomplete push therefore costs no key generation, no TPM counter,
-    /// no WAL record — and a forged one cannot pump the counter to a value
-    /// that would make the node reject honest state as stale forever.
-    /// Then, under the shard lock, the rollback guard, `commit` and
-    /// `install` — the steps a local refresh and crash recovery take, so
-    /// an identical platform seed yields a byte-identical signed index.
+    /// every blob the sealed indexes pin under the tenant's policy (the
+    /// pushed one for a tenant new to this node) is gathered from the
+    /// push, the tenant's cache or the store. A forged or incomplete push
+    /// therefore costs no key generation, no TPM counter, no WAL record —
+    /// and a forged one cannot pump the counter to a value that would make
+    /// the node reject honest state as stale forever. An existing tenant
+    /// is gathered under the shard lock, after the rollback guard; then
+    /// `commit` and `install` — the steps a local refresh and crash
+    /// recovery take, so an identical platform seed yields a
+    /// byte-identical signed index.
     ///
     /// # Errors
     ///
     /// [`CoreError::Policy`] for unparsable policies,
-    /// [`CoreError::SealedState`] for blob-hash mismatches or seals that
-    /// do not unseal, [`CoreError::NotFound`] naming the needed blobs the
-    /// push leaves out and this node lacks, [`CoreError::RollbackDetected`]
-    /// when the pushed seal counter is older than what this node already
-    /// holds.
+    /// [`CoreError::SealedState`] for blob-hash mismatches, seals that do
+    /// not unseal or store reads that fail, [`CoreError::NotFound`] naming
+    /// the pinned blobs the push leaves out and this node lacks,
+    /// [`CoreError::RollbackDetected`] when the pushed seal counter is
+    /// older than what this node already holds.
     pub fn apply_replicated_state(&self, state: &ReplicatedState) -> Result<String, CoreError> {
         let policy = Policy::parse(&state.policy_text)?;
         for (hash, blob) in &state.blobs {
@@ -302,7 +263,7 @@ impl TsrService {
                 )));
             }
         }
-        let mut needed = BTreeSet::new();
+        let (mut upstream, mut sanitized) = (None, None);
         if !state.sealed.is_empty() {
             let sealed = SealedState::peek(&state.sealed, &self.enclave())?;
             if sealed.counter != state.seal_counter {
@@ -311,17 +272,29 @@ impl TsrService {
                     sealed.counter, state.seal_counter
                 )));
             }
-            needed = needed_blobs(&sealed, state)?;
+            (upstream, sanitized) = sealed.indexes()?;
         }
+        let gather = |policy: &Policy, held: &PackageCache| {
+            let pins = pins_of(upstream.as_ref(), sanitized.as_ref(), policy);
+            let (cache, lacking) = self.gather(&pins, &state.blobs, held)?;
+            if !lacking.is_empty() {
+                return Err(CoreError::NotFound(format!(
+                    "replicated push lacks blobs this node does not hold: {}",
+                    lacking.join(" ")
+                )));
+            }
+            Ok(cache)
+        };
         let existing = self.repo(&state.id).ok();
         let is_new = existing.is_none();
-        let shard = match existing {
-            Some(shard) => shard,
+        let (shard, gathered) = match existing {
+            Some(shard) => (shard, None),
             None => {
-                // A new tenant has no cache yet: vet before the shard, its
-                // key and its TPM counter exist.
-                self.check_held(&needed, &PackageCache::new())?;
-                Arc::new(Mutex::new(self.init_repo(&state.id, policy)))
+                // A new tenant has no cache yet: gather before the shard,
+                // its key and its TPM counter exist.
+                let cache = gather(&policy, &PackageCache::new())?;
+                let shard = Arc::new(Mutex::new(self.init_repo(&state.id, policy)));
+                (shard, Some(cache))
             }
         };
         let mut repo = live(&shard)?;
@@ -333,12 +306,13 @@ impl TsrService {
                 state.seal_counter
             )));
         }
-        if !is_new {
-            // Under the shard lock, so `install` finds what was checked.
-            self.check_held(&needed, repo.cache())?;
-        }
+        let cache = match gathered {
+            Some(cache) => cache,
+            None => gather(repo.policy(), repo.cache())?,
+        };
         self.commit(state, is_new)?;
-        self.install(&mut repo, &state.sealed, state.seal_counter, &state.blobs)?;
+        self.install(&mut repo, &state.sealed, state.seal_counter)?;
+        *repo.cache_mut() = cache;
         if is_new {
             self.repos
                 .write()
@@ -348,28 +322,6 @@ impl TsrService {
         self.hot().publish(&state.id, repo.signed_index_etag());
         self.metrics().cluster_replicated_applies.inc();
         Ok(repo.signed_index_etag().unwrap_or_default().to_string())
-    }
-
-    /// Refuses the apply unless every hash in `needed` is in `cache` or in
-    /// the blob store, which never drops a blob.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::NotFound`] naming every hash that is in neither.
-    fn check_held(&self, needed: &BTreeSet<String>, cache: &PackageCache) -> Result<(), CoreError> {
-        let eng = lock(&self.shared.store);
-        let lacking: Vec<&str> = needed
-            .iter()
-            .filter(|hash| cache.get(hash).is_none() && !eng.has_blob(hash))
-            .map(String::as_str)
-            .collect();
-        if lacking.is_empty() {
-            return Ok(());
-        }
-        Err(CoreError::NotFound(format!(
-            "replicated push lacks blobs this node does not hold: {}",
-            lacking.join(" ")
-        )))
     }
 
     /// Per-repository replication digest: `(id, signed-index ETag, seal
@@ -595,25 +547,6 @@ mod tests {
         assert_eq!(stranger.event_counter("wal_appends").get(), 0);
         let next_counter = lock(&stranger.shared.tpm).create_counter();
         assert_eq!(next_counter, 0, "the rejected push allocated a TPM counter");
-    }
-
-    #[test]
-    fn swapped_package_refs_cannot_poison_a_replica() {
-        let primary = service();
-        let (id, _) = primary.create_repository(&policy_text()).unwrap();
-        primary.refresh(&id).unwrap();
-        // Neither the seal nor the blob hashes cover `packages`: a sender
-        // (or anyone on the path) can swap the hashes of a triple.
-        let mut lying = primary.export_replicated_state(&id).unwrap();
-        let (_, original, sanitized) = &mut lying.packages[0];
-        assert_ne!(original, sanitized);
-        std::mem::swap(original, sanitized);
-
-        let replica = service();
-        let etag = replica.apply_replicated_state(&lying).unwrap();
-        assert_eq!(etag, lying.index_etag, "the ack votes the honest ETag");
-        // The cache was filled from the unsealed indexes, not the refs.
-        assert_eq!(served(&replica, &id), served(&primary, &id));
     }
 
     #[test]
@@ -918,6 +851,94 @@ mod tests {
             outcome.unwrap();
         }
         assert_eq!(replica.fetch_package(&id, "tool").unwrap(), pkg);
+        assert_eq!(served(&replica, &id), served(&primary, &id));
+    }
+
+    #[test]
+    fn a_blacklisted_original_rides_no_push_and_sits_in_no_replica_cache() {
+        let primary = service();
+        let publish = |version: &str, id| {
+            let pkgs = [("tool", "1.0"), ("extra", version), ("banned", version)];
+            primary.with_mirrors(|ms| tsr_mirror::publish_to_all(ms, &snapshot(id, &pkgs)));
+        };
+        publish("1.0", 2);
+        let mut policy = Policy::parse(&policy_text()).unwrap();
+        policy.package_blacklist.push("banned".into());
+        let (id, _) = primary.create_repository(&policy.to_text()).unwrap();
+        let banned = || {
+            let original = |repo: &TsrRepository| {
+                let entry = repo.upstream_index().unwrap().get("banned").unwrap();
+                entry.content_hash.clone()
+            };
+            primary.with_repository(&id, original).unwrap()
+        };
+        primary.refresh(&id).unwrap();
+        let first = primary.export_replicated_state(&id).unwrap();
+        let (replica, _) = stored_service(&Arc::new(Mutex::new(SimFs::new())));
+        replica.apply_replicated_state(&first).unwrap();
+        let old = banned();
+        publish("1.1", 3);
+        primary.refresh(&id).unwrap();
+        let next = primary.export_replicated_state(&id).unwrap();
+        let lean = lean(&next, &first);
+        // `extra` 1.1's original and sanitized blobs, not `banned`'s.
+        assert_eq!(lean.blobs.len(), 2, "{:?}", lean.blobs);
+        replica.apply_replicated_state(&lean).unwrap();
+
+        let new = banned();
+        assert_ne!(old, new);
+        for image in [&first, &next] {
+            assert!(image.blobs.iter().all(|(h, _)| *h != old && *h != new));
+        }
+        let want = served(&primary, &id);
+        assert_eq!(served(&replica, &id), want);
+        assert!(want.cached.iter().all(|(h, _)| *h != old && *h != new));
+        // Every pin is cached: the original of each permitted package and
+        // each sanitized blob.
+        assert_eq!(want.cache_entries, 4);
+        assert!(want.cached.iter().all(|(h, got)| got.as_ref() == Some(h)));
+    }
+
+    #[test]
+    fn a_lean_push_whose_kept_blob_fails_the_store_read_is_refused_before_commit() {
+        let fs = Arc::new(Mutex::new(SimFs::new()));
+        let (primary, replica, id, first, next) = caught_up_replica(&fs);
+        // The replica loses its cache entry for the unchanged `tool`, and
+        // the store file behind it is flipped.
+        let tool = replica
+            .with_repository_mut(&id, |repo| {
+                let hash = pinned(repo, "tool");
+                repo.cache_mut().retain(|h| h != hash);
+                hash
+            })
+            .unwrap();
+        {
+            let path = format!("/store/blobs/{}/{tool}", &tool[..2]);
+            let mut disk = fs.lock().unwrap();
+            let mut blob = disk.read_file(&path).unwrap().to_vec();
+            blob[0] ^= 1;
+            disk.write_file(&path, blob).unwrap();
+        }
+        let counter = |svc: &TsrService| {
+            let digest = svc.replication_digest();
+            digest.into_iter().find(|(r, _, _)| *r == id).unwrap().2
+        };
+        let (wal_before, counter_before) = (wal(&fs), counter(&replica));
+        let index = replica.fetch_index(&id).unwrap();
+        // `tool` is unchanged, so the lean push leaves it out.
+        let err = replica
+            .apply_replicated_state(&lean(&next, &first))
+            .unwrap_err();
+        assert!(
+            matches!(&err, CoreError::SealedState(m) if m.contains("hash mismatch")),
+            "{err:?}"
+        );
+        assert_eq!(wal(&fs), wal_before);
+        assert_eq!(counter(&replica), counter_before);
+        assert_eq!(replica.fetch_index(&id).unwrap(), index);
+
+        // The full image, which carries `tool`, then applies.
+        replica.apply_replicated_state(&next).unwrap();
         assert_eq!(served(&replica, &id), served(&primary, &id));
     }
 

@@ -398,16 +398,12 @@ impl TsrRepository {
         self.scripts.get(&entry.content_hash).is_none_or(creates) || self.keepable(entry).is_none()
     }
 
-    /// The content hashes the upstream and sanitized indexes pin: the
-    /// package cache's one retention rule, so exactly what it holds after
-    /// a refresh or an install (less what was never downloaded).
+    /// The content hashes this repository holds: [`pins_of`] its indexes
+    /// under its policy. The package cache's one retention rule, so
+    /// exactly what it holds after a refresh or an install.
     pub(crate) fn pins(&self) -> BTreeSet<String> {
-        [&self.upstream_index, &self.sanitized_index]
-            .into_iter()
-            .flatten()
-            .flat_map(Index::iter)
-            .map(|e| e.content_hash.clone())
-            .collect()
+        let (upstream, sanitized) = (&self.upstream_index, &self.sanitized_index);
+        pins_of(upstream.as_ref(), sanitized.as_ref(), &self.policy)
     }
 
     /// Serves the signed sanitized metadata index.
@@ -553,16 +549,8 @@ impl TsrRepository {
     /// The half of [`Self::restore`] that does not: parses the unsealed
     /// indexes and re-signs the sanitized one.
     pub(crate) fn restore_unsealed(&mut self, state: SealedState) -> Result<(), CoreError> {
-        self.upstream_index = if state.upstream_index.is_empty() {
-            None
-        } else {
-            Some(Index::parse(&state.upstream_index)?)
-        };
-        let sanitized = if state.sanitized_index.is_empty() {
-            None
-        } else {
-            Some(Index::parse(&state.sanitized_index)?)
-        };
+        let (upstream, sanitized) = state.indexes()?;
+        self.upstream_index = upstream;
         self.signed_sanitized_index = match &sanitized {
             Some(idx) => idx.sign(&self.signing_key, &self.signer_name),
             None => Vec::new(),
@@ -575,6 +563,23 @@ impl TsrRepository {
         self.sanitized_index = sanitized;
         Ok(())
     }
+}
+
+/// The content hashes a tenant with these indexes holds under `policy`:
+/// every sanitized blob, and the original of every upstream package the
+/// policy permits — a refresh downloads each of those it lacks.
+pub(crate) fn pins_of(
+    upstream: Option<&Index>,
+    sanitized: Option<&Index>,
+    policy: &Policy,
+) -> BTreeSet<String> {
+    let originals = upstream.into_iter().flat_map(Index::iter);
+    let originals = originals.filter(|e| policy.permits_package(&e.name));
+    let sanitized = sanitized.into_iter().flat_map(Index::iter);
+    originals
+        .chain(sanitized)
+        .map(|e| e.content_hash.clone())
+        .collect()
 }
 
 /// Quoted strong ETag over a byte blob.

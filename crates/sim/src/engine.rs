@@ -213,6 +213,12 @@ pub(crate) fn run(scenario: &Scenario) -> Result<SimReport, SimFailure> {
 
     let base_model = LatencyModel::default();
     let service = TsrService::new(seed_bytes.as_bytes(), mirrors, base_model.clone(), 1024);
+    // One refresh worker: an equivocating mirror answers by its shared
+    // request count, so with parallel downloads the thread schedule would
+    // decide which package gets stale bytes, and with it `download_us`
+    // and the sim clock. Worker-count invariance of the served bytes is
+    // covered by `ablation_parallel` and `tests/concurrency.rs`.
+    service.set_workers(1);
     let (repo_id, pem) = service
         .create_repository(&policy.to_text())
         .map_err(|e| config_failure(format!("policy rejected: {e}")))?;

@@ -90,6 +90,8 @@ impl WireDto for ClusterConfigDto {
 /// `blobs[].bytes_hex`). The seal is TPM-bound: a replica installs it the
 /// way crash recovery does — derive keys, replay the counter, unseal — so
 /// a forged seal cannot decrypt and a stale one trips the rollback check.
+/// The seal and the tenant's policy alone say which blobs a replica must
+/// hold; nothing else in the image names a package's blobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicatedState {
     /// Repository id.
@@ -100,9 +102,6 @@ pub struct ReplicatedState {
     pub upstream_index: String,
     /// Sanitized index text (empty before the first refresh).
     pub sanitized_index: String,
-    /// Per-package `(name, original hash, sanitized hash)` blob refs (the
-    /// sanitized hash is empty for a package the sanitizer rejected).
-    pub packages: Vec<(String, String, String)>,
     /// The TPM-bound sealed metadata blob (empty before the first seal).
     pub sealed: Vec<u8>,
     /// The monotonic-counter value bound into `sealed`.
@@ -110,22 +109,16 @@ pub struct ReplicatedState {
     /// ETag of the signed sanitized index (the replication vote value).
     pub index_etag: String,
     /// Content-addressed blob payloads, `(hex SHA-256, bytes)`. An export
-    /// carries every cached blob the upstream index names. A replicate
-    /// push carries only those its receiver did not ack last time; a
-    /// receiver that lacks one the seal needs refuses the push, and the
-    /// primary then pushes the export in full.
+    /// carries every cached blob the tenant pins: each sanitized blob and
+    /// each original its policy permits. A replicate push carries only
+    /// those its receiver did not ack last time; a receiver that lacks a
+    /// pinned one refuses the push, and the primary then pushes the
+    /// export in full.
     pub blobs: Vec<(String, Arc<[u8]>)>,
 }
 
 impl WireDto for ReplicatedState {
     fn to_json(&self) -> Json {
-        let package = |(name, original, sanitized): &(String, String, String)| {
-            Json::obj([
-                ("name", Json::str(name)),
-                ("original_hash", Json::str(original)),
-                ("sanitized_hash", Json::str(sanitized)),
-            ])
-        };
         let blob = |(hash, bytes): &(String, Arc<[u8]>)| {
             Json::obj([
                 ("hash", Json::str(hash)),
@@ -137,7 +130,6 @@ impl WireDto for ReplicatedState {
             ("policy_text", Json::str(&self.policy_text)),
             ("upstream_index", Json::str(&self.upstream_index)),
             ("sanitized_index", Json::str(&self.sanitized_index)),
-            ("packages", Json::arr(self.packages.iter().map(package))),
             ("sealed_hex", Json::str(hex::to_hex(&self.sealed))),
             ("seal_counter", Json::Int(self.seal_counter.into())),
             ("index_etag", Json::str(&self.index_etag)),
@@ -157,16 +149,6 @@ impl WireDto for ReplicatedState {
             policy_text: req_str(v, "policy_text")?,
             upstream_index: req_str(v, "upstream_index")?,
             sanitized_index: req_str(v, "sanitized_index")?,
-            packages: req_arr(v, "packages")?
-                .iter()
-                .map(|p| {
-                    Ok((
-                        req_str(p, "name")?,
-                        req_str(p, "original_hash")?,
-                        req_str(p, "sanitized_hash")?,
-                    ))
-                })
-                .collect::<Result<_, String>>()?,
             sealed: unhex(v, "sealed_hex")?,
             seal_counter: req_u64(v, "seal_counter")?,
             index_etag: req_str(v, "index_etag")?,

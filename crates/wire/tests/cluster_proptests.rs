@@ -79,15 +79,10 @@ fn blob() -> impl Strategy<Value = (String, std::sync::Arc<[u8]>)> {
     ("[0-9a-f]{64}", bytes(32)).prop_map(|(hash, bytes)| (hash, bytes.into()))
 }
 
-fn package_ref() -> impl Strategy<Value = (String, String, String)> {
-    (wild_string(), "[0-9a-f]{64}", "([0-9a-f]{64})?")
-}
-
 fn repo_seal() -> impl Strategy<Value = ReplicatedState> {
     (
         ("repo-[0-9]{1,6}", wild_string()),
         (wild_string(), wild_string()),
-        proptest::collection::vec(package_ref(), 0..4),
         (
             (bytes(64), any::<u64>(), wild_string()),
             proptest::collection::vec(blob(), 0..4),
@@ -97,14 +92,12 @@ fn repo_seal() -> impl Strategy<Value = ReplicatedState> {
             |(
                 (id, policy_text),
                 (upstream_index, sanitized_index),
-                packages,
                 ((sealed, seal_counter, index_etag), blobs),
             )| ReplicatedState {
                 id,
                 policy_text,
                 upstream_index,
                 sanitized_index,
-                packages,
                 sealed,
                 seal_counter,
                 index_etag,
@@ -269,19 +262,20 @@ fn saturated_counters_roundtrip_exactly() {
 
 #[test]
 fn replicated_state_json_is_the_parents() {
-    // The literals are what the parent commit's
-    // `state_to_dto(&state).encode()` printed for this image, alone and
-    // inside a push: the merged type changed no byte of `/v1/cluster/*`.
-    const STATE: &str = r#"{"blobs":[{"bytes_hex":"6f726967","hash":"aa11"},{"bytes_hex":"7f800a","hash":"bb22"}],"id":"repo-7","index_etag":"\"e7a9\"","packages":[{"name":"tool","original_hash":"aa11","sanitized_hash":"bb22"},{"name":"rejected","original_hash":"cc33","sanitized_hash":""}],"policy_text":"f: 1\n","sanitized_index":"P:tool\nV:1.0-tsr\n\n","seal_counter":3,"sealed_hex":"0001feff","upstream_index":"P:tool\nV:1.0\n\n"}"#;
+    // The literal is what the previous format printed for this image,
+    // less its per-package `packages` refs: the one change to
+    // `/v1/cluster/*` bytes since the merged type, made on purpose.
+    const STATE: &str = r#"{"blobs":[{"bytes_hex":"6f726967","hash":"aa11"},{"bytes_hex":"7f800a","hash":"bb22"}],"id":"repo-7","index_etag":"\"e7a9\"","policy_text":"f: 1\n","sanitized_index":"P:tool\nV:1.0-tsr\n\n","seal_counter":3,"sealed_hex":"0001feff","upstream_index":"P:tool\nV:1.0\n\n"}"#;
+    // The previous format, refs included, still decodes to the same
+    // state (unknown keys are ignored), so a push from a node of that
+    // version applies here. The other direction does not hold: that
+    // version requires `packages`, so a cluster upgrades all at once.
+    const PARENT: &str = r#"{"blobs":[{"bytes_hex":"6f726967","hash":"aa11"},{"bytes_hex":"7f800a","hash":"bb22"}],"id":"repo-7","index_etag":"\"e7a9\"","packages":[{"name":"tool","original_hash":"aa11","sanitized_hash":"bb22"},{"name":"rejected","original_hash":"cc33","sanitized_hash":""}],"policy_text":"f: 1\n","sanitized_index":"P:tool\nV:1.0-tsr\n\n","seal_counter":3,"sealed_hex":"0001feff","upstream_index":"P:tool\nV:1.0\n\n"}"#;
     let state = ReplicatedState {
         id: "repo-7".into(),
         policy_text: "f: 1\n".into(),
         upstream_index: "P:tool\nV:1.0\n\n".into(),
         sanitized_index: "P:tool\nV:1.0-tsr\n\n".into(),
-        packages: vec![
-            ("tool".into(), "aa11".into(), "bb22".into()),
-            ("rejected".into(), "cc33".into(), String::new()),
-        ],
         sealed: vec![0x00, 0x01, 0xfe, 0xff],
         seal_counter: 3,
         index_etag: "\"e7a9\"".into(),
@@ -292,6 +286,7 @@ fn replicated_state_json_is_the_parents() {
     };
     assert_eq!(state.encode(), STATE);
     assert_eq!(ReplicatedState::decode(STATE).unwrap(), state);
+    assert_eq!(ReplicatedState::decode(PARENT).unwrap(), state);
     let push = ReplicateRequestDto {
         epoch: 2,
         primary: "node-0".into(),
@@ -301,6 +296,9 @@ fn replicated_state_json_is_the_parents() {
     let text = format!(r#"{{"epoch":2,"primary":"node-0","request_id":"req-1","state":{STATE}}}"#);
     assert_eq!(push.encode(), text);
     assert_eq!(ReplicateRequestDto::decode(&text).unwrap(), push);
+    let parent =
+        format!(r#"{{"epoch":2,"primary":"node-0","request_id":"req-1","state":{PARENT}}}"#);
+    assert_eq!(ReplicateRequestDto::decode(&parent).unwrap(), push);
     // Hex that does not decode fails the decode (the node answers 400).
     assert!(ReplicatedState::decode(&STATE.replace("0001feff", "0001fef")).is_err());
     assert!(ReplicateRequestDto::decode(&text.replace("7f800a", "7g800a")).is_err());

@@ -254,8 +254,8 @@ fn policy_for(upstream: &GeneratedRepo, mirrors: &[Mirror]) -> tsr::core::Policy
 
 /// Replication over real sockets: three nodes, each pushing through its
 /// own `HttpTransport`. After one changed package the pushes carry only
-/// the new blobs; a replica rebuilt over an empty store nacks its lean
-/// push and converges on the full one that follows.
+/// the new blobs; a replica rebuilt over an empty store at a new address
+/// nacks its lean push and converges on the full one that follows.
 #[test]
 fn lean_pushes_over_real_http_converge_and_a_wiped_replica_takes_the_full_push() {
     // A cold refresh sanitizes the whole tenant before it answers; an
@@ -304,7 +304,7 @@ fn lean_pushes_over_real_http_converge_and_a_wiped_replica_takes_the_full_push()
         .iter()
         .map(|n| Some(n.serve("127.0.0.1:0").unwrap()))
         .collect();
-    let addrs: Vec<String> = servers
+    let mut addrs: Vec<String> = servers
         .iter()
         .map(|s| s.as_ref().unwrap().local_addr().to_string())
         .collect();
@@ -333,8 +333,8 @@ fn lean_pushes_over_real_http_converge_and_a_wiped_replica_takes_the_full_push()
 
     // A refresh posted to the primary's socket, which pushes to the
     // replicas' sockets.
+    let url = format!("http://{}/v1/repositories/{repo}/refresh", addrs[primary]);
     let refresh = |nodes: &[ClusterNode]| {
-        let url = format!("http://{}/v1/repositories/{repo}/refresh", addrs[primary]);
         let resp = tsr::http::Client::with_timeout(TIMEOUT)
             .post(&url, &[])
             .unwrap();
@@ -377,11 +377,19 @@ fn lean_pushes_over_real_http_converge_and_a_wiped_replica_takes_the_full_push()
     assert!(0 < added && added < bytes_of(&second, &|_| true));
     assert_eq!(pushed(&nodes) - before, 2 * added);
 
-    // Wipe one replica: a fresh node over an empty store, on the same
-    // address. Its lean push is refused, the full push applies.
+    // Wipe one replica: a fresh node over an empty store, on a new
+    // address that a newer config names. Its lean push goes there and is
+    // refused, the full push applies.
     drop(servers[wiped].take());
     nodes[wiped] = build(&infos[wiped], &config, &upstream);
-    servers[wiped] = Some(nodes[wiped].serve(&addrs[wiped]).unwrap());
+    servers[wiped] = Some(nodes[wiped].serve("127.0.0.1:0").unwrap());
+    addrs[wiped] = servers[wiped].as_ref().unwrap().local_addr().to_string();
+    infos[wiped].base_url = format!("http://{}", addrs[wiped]);
+    config.epoch = 3;
+    config.nodes = infos.clone();
+    for node in &nodes {
+        assert_eq!(node.join(&config).epoch, 3);
+    }
     let before = pushed(&nodes);
     let (third, _) = refresh(&nodes);
     let lean = bytes_of(&third, &|h| !hashes.contains(h));
