@@ -634,14 +634,6 @@ mod tests {
         fn digest(&self, to: &NodeInfoDto) -> Result<ClusterDigestDto, ClusterError> {
             self.inner.digest(to)
         }
-
-        fn join(
-            &self,
-            to: &NodeInfoDto,
-            config: &ClusterConfigDto,
-        ) -> Result<ClusterConfigDto, ClusterError> {
-            self.inner.join(to, config)
-        }
     }
 
     struct Fixture {

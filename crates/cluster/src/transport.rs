@@ -20,8 +20,8 @@ use std::time::Duration;
 
 use tsr_http::{Client, Request, Response};
 use tsr_wire::{
-    ClusterConfigDto, ClusterDigestDto, NodeInfoDto, ReplicateAckDto, ReplicateRequestDto,
-    ReplicatedState, TsrClient, WireError,
+    ClusterDigestDto, NodeInfoDto, ReplicateAckDto, ReplicateRequestDto, ReplicatedState,
+    TsrClient, WireError,
 };
 
 use crate::error::ClusterError;
@@ -63,18 +63,6 @@ pub trait NodeTransport: Send + Sync {
     ///
     /// [`ClusterError`] on transport or decode failure.
     fn digest(&self, to: &NodeInfoDto) -> Result<ClusterDigestDto, ClusterError>;
-
-    /// Gossips a config to `to` (`POST /v1/cluster/config`), returning
-    /// the config `to` holds afterwards.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError`] on transport or decode failure.
-    fn join(
-        &self,
-        to: &NodeInfoDto,
-        config: &ClusterConfigDto,
-    ) -> Result<ClusterConfigDto, ClusterError>;
 }
 
 /// The shared fault-oracle state of a [`LocalCluster`].
@@ -284,22 +272,14 @@ impl NodeTransport for LocalTransport {
         }
         Ok(digest)
     }
-
-    fn join(
-        &self,
-        to: &NodeInfoDto,
-        config: &ClusterConfigDto,
-    ) -> Result<ClusterConfigDto, ClusterError> {
-        let (node, _) = self.cluster.target(&self.from_continent, to)?;
-        Ok(node.join(config))
-    }
 }
 
 /// A [`NodeTransport`] over real HTTP: one pooled [`TsrClient`] per
-/// target address, plus a raw client for forwarded requests.
+/// target node, plus a raw client for forwarded requests.
 pub struct HttpTransport {
     timeout: Duration,
-    clients: Mutex<BTreeMap<String, TsrClient>>,
+    /// Node id → (the address its client was made for, the client).
+    clients: Mutex<BTreeMap<String, (String, TsrClient)>>,
 }
 
 impl HttpTransport {
@@ -311,17 +291,22 @@ impl HttpTransport {
         }
     }
 
-    /// Runs `f` with the pooled client for `node`'s address (created on
-    /// first use), so a node a newer config moved is reached where it now
-    /// listens. The pool lock is held across the call, serializing
-    /// requests per target — acceptable for the control-plane traffic
-    /// this transport carries.
+    /// Runs `f` with the pooled client for `node` (created on first use,
+    /// and replaced when a newer config moved the node, so it is reached
+    /// where it now listens and the pool holds one client per node). The
+    /// pool lock is held across the call, serializing requests per target
+    /// — acceptable for the control-plane traffic this transport carries.
     fn with_client<R>(&self, node: &NodeInfoDto, f: impl FnOnce(&TsrClient) -> R) -> R {
         let mut clients = self.clients.lock().unwrap_or_else(PoisonError::into_inner);
-        let client = clients
-            .entry(node.base_url.clone())
-            .or_insert_with(|| TsrClient::pooled(node.base_url.clone(), self.timeout));
-        f(client)
+        let fresh = || {
+            let client = TsrClient::pooled(node.base_url.clone(), self.timeout);
+            (node.base_url.clone(), client)
+        };
+        let slot = clients.entry(node.id.clone()).or_insert_with(fresh);
+        if slot.0 != node.base_url {
+            *slot = fresh();
+        }
+        f(&slot.1)
     }
 }
 
@@ -370,15 +355,6 @@ impl NodeTransport for HttpTransport {
         self.with_client(to, |c| c.cluster_digest())
             .map_err(wire_err)
     }
-
-    fn join(
-        &self,
-        to: &NodeInfoDto,
-        config: &ClusterConfigDto,
-    ) -> Result<ClusterConfigDto, ClusterError> {
-        self.with_client(to, |c| c.cluster_join(config))
-            .map_err(wire_err)
-    }
 }
 
 #[cfg(test)]
@@ -409,5 +385,10 @@ mod tests {
         let transport = HttpTransport::new(Duration::from_secs(10));
         assert_eq!(transport.digest(&peer(&first)).unwrap().node, "first");
         assert_eq!(transport.digest(&peer(&second)).unwrap().node, "second");
+        assert_eq!(
+            transport.clients.lock().unwrap().len(),
+            1,
+            "one client per node"
+        );
     }
 }

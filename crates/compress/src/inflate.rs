@@ -37,7 +37,7 @@ const CLEN_ORDER: [usize; 19] = [
 /// A canonical Huffman decoding table (puff-style counts + symbols).
 #[derive(Debug, Clone)]
 struct Huffman {
-    /// count[l] = number of codes of length l.
+    /// `count[l]` = number of codes of length `l`.
     count: [u16; MAX_BITS + 1],
     /// Symbols ordered by code.
     symbol: Vec<u16>,

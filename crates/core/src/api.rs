@@ -50,7 +50,6 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::error::CoreError;
-use crate::hot::Slot;
 use crate::repository::RefreshReport;
 use crate::service::TsrService;
 use tsr_crypto::hex;
@@ -154,12 +153,8 @@ pub(crate) struct Metrics {
     pub(crate) index_not_modified_lock_free: Counter,
     /// Full index GETs served as shared bytes from the serve cache.
     pub(crate) index_hot_blob_hits: Counter,
-    /// Index reads that had to take the repository shard lock.
-    pub(crate) index_locked_reads: Counter,
     /// Package GETs served from the serve cache.
     pub(crate) package_hot_blob_hits: Counter,
-    /// Serve-cache entries whose blobs were dropped to fit the budget.
-    pub(crate) hot_blob_evictions: Counter,
     /// Replicated states applied from a cluster peer.
     pub(crate) cluster_replicated_applies: Counter,
     /// The storage engine's cumulative counters, in engine field order.
@@ -186,9 +181,7 @@ impl Metrics {
                 .collect(),
             index_not_modified_lock_free: event("index_not_modified_lock_free"),
             index_hot_blob_hits: event("index_hot_blob_hits"),
-            index_locked_reads: event("index_locked_reads"),
             package_hot_blob_hits: event("package_hot_blob_hits"),
-            hot_blob_evictions: event("hot_blob_evictions"),
             cluster_replicated_applies: event("cluster_replicated_applies"),
             store: [
                 event("wal_appends"),
@@ -489,46 +482,46 @@ fn v1_refresh(svc: &TsrService, id: &str) -> Response {
     }
 }
 
+/// 304 when `req` already holds `etag`, else `blob` as shared bytes.
+fn respond(req: &Request, etag: &str, blob: &Arc<[u8]>) -> Response {
+    if etag_matches(req, etag) {
+        Response::not_modified(etag)
+    } else {
+        Response::shared(Arc::clone(blob)).with_etag(etag)
+    }
+}
+
 fn v1_index(svc: &TsrService, id: &str, req: &Request) -> Response {
-    // Lock-bypass fast paths: the serve cache holds each repository's
-    // published index ETag and, once a read has warmed them, the signed
-    // index *bytes* as a shared allocation. A conditional re-fetch — the
-    // request a polling package manager sends most — answers 304 from
-    // the cache alone, and a full GET of an unchanged index serves
-    // `Body::Shared` bytes: no shard lock, no clone, straight into the
-    // reactor's vectored writer.
+    // Every refreshed repository's signed index is published to the
+    // serve cache with its ETag, as the allocation the repository holds.
+    // A conditional re-fetch — the request a polling package manager
+    // sends most — answers 304 from the cache alone, and a full GET
+    // serves `Body::Shared` bytes: no shard lock, no clone, straight
+    // into the reactor's vectored writer.
     let metrics = svc.metrics();
     let cached = svc.hot().lookup(id, |entry| {
-        let etag = entry.index_etag();
-        if etag_matches(req, etag) {
-            metrics.index_not_modified_lock_free.inc();
-            return Some(Response::not_modified(etag));
+        let resp = respond(req, entry.index_etag(), entry.index());
+        match resp.status {
+            304 => metrics.index_not_modified_lock_free.inc(),
+            _ => metrics.index_hot_blob_hits.inc(),
         }
-        let blob = entry.index()?;
-        metrics.index_hot_blob_hits.inc();
-        Some(Response::shared(Arc::clone(blob)).with_etag(etag))
+        resp
     });
-    if let Some(resp) = cached.flatten() {
+    if let Some(resp) = cached {
         return resp;
     }
-    metrics.index_locked_reads.inc();
-    let result = svc.with_repository(id, |repo| {
-        let blob: Arc<[u8]> = repo.serve_index()?.into();
-        // A served index always has its ETag (see `signed_index_etag`).
-        let etag = repo.signed_index_etag().unwrap_or_default().to_string();
-        Ok((etag, blob))
+    // Nothing published: the shard answers, with its 404 for an unknown
+    // or not yet refreshed repository (or the index a writer published
+    // after the lookup above).
+    let read = svc.with_repository(id, |repo| {
+        let index: Arc<[u8]> = repo.serve_index()?.into();
+        Ok((
+            repo.signed_index_etag().unwrap_or_default().to_string(),
+            index,
+        ))
     });
-    match result {
-        Ok(Ok((etag, blob))) => {
-            // Offer what was read; the cache keeps it only if `etag` is
-            // still the published version.
-            svc.hot().warm(id, &etag, Slot::Index, Arc::clone(&blob));
-            if etag_matches(req, &etag) {
-                Response::not_modified(&etag)
-            } else {
-                Response::shared(blob).with_etag(&etag)
-            }
-        }
+    match read {
+        Ok(Ok((etag, index))) => respond(req, &etag, &index),
         Ok(Err(e)) | Err(e) => core_error(&e, id),
     }
 }
@@ -587,19 +580,12 @@ fn parse_query_u64(params: &Params, name: &str, default: u64) -> Result<u64, Res
 }
 
 fn v1_package(svc: &TsrService, id: &str, name: &str, req: &Request) -> Response {
-    let respond = |etag: &str, blob: &Arc<[u8]>| {
-        if etag_matches(req, etag) {
-            Response::not_modified(etag)
-        } else {
-            Response::shared(Arc::clone(blob)).with_etag(etag)
-        }
-    };
     // Zero-copy fast path: a blob already served under the *current*
     // index version answers straight from the serve cache — no shard
     // lock, no re-verification, no clone.
     let cached = svc.hot().lookup(id, |entry| {
         let (etag, blob) = entry.package(name)?;
-        Some(respond(etag, blob))
+        Some(respond(req, etag, blob))
     });
     if let Some(resp) = cached.flatten() {
         svc.metrics().package_hot_blob_hits.inc();
@@ -625,10 +611,10 @@ fn v1_package(svc: &TsrService, id: &str, name: &str, req: &Request) -> Response
     match result {
         Ok(Ok((blob, etag, index_etag))) => {
             if let Some(index_etag) = index_etag {
-                let slot = Slot::Package { name, etag: &etag };
-                svc.hot().warm(id, &index_etag, slot, Arc::clone(&blob));
+                svc.hot()
+                    .warm(id, &index_etag, name, &etag, Arc::clone(&blob));
             }
-            respond(&etag, &blob)
+            respond(req, &etag, &blob)
         }
         Ok(Err(e)) | Err(e) => core_error(&e, &format!("{id}/{name}")),
     }
@@ -667,8 +653,8 @@ mod tests {
         svc.refresh(&id).unwrap();
         let get = |path: &str| svc.handle(&api_request("GET", path, &[]));
 
-        // First GET takes the locked path and warms the cache; the second
-        // must serve the very same shared allocation (zero-copy).
+        // The refresh published the signed index: both GETs are hot hits
+        // serving the very same shared allocation (zero-copy).
         let index_path = format!("/v1/repositories/{id}/index");
         let r1 = get(&index_path);
         let r2 = get(&index_path);
@@ -680,9 +666,9 @@ mod tests {
             );
         };
         assert!(Arc::ptr_eq(a, b), "cache hit must reuse the allocation");
-        assert!(svc.event_counter("index_hot_blob_hits").get() >= 1);
+        assert_eq!(svc.event_counter("index_hot_blob_hits").get(), 2);
 
-        // Same for package blobs.
+        // Same for package blobs, once the first GET has warmed them.
         let pkg_path = format!("/v1/repositories/{id}/packages/tool");
         let p1 = get(&pkg_path);
         let p2 = get(&pkg_path);
@@ -693,7 +679,7 @@ mod tests {
         assert!(Arc::ptr_eq(pa, pb));
 
         // A refresh republishes: the blobs warmed under the old version
-        // are gone with it, and the next GET warms a fresh allocation.
+        // are gone with it, and the next GET serves the new allocation.
         svc.refresh(&id).unwrap();
         let r3 = get(&index_path);
         let tsr_http::Body::Shared(c) = &r3.body else {
@@ -709,22 +695,21 @@ mod tests {
 
     #[test]
     fn a_late_reader_cannot_resurrect_a_deleted_tenant() {
-        use crate::hot::Slot;
         let svc = service();
         let (id, _) = svc.create_repository(&policy_text()).unwrap();
         svc.refresh(&id).unwrap();
-        // A reader on the index slow path reads (E1, blob) under the
+        // A reader on the package slow path reads (E1, blob) under the
         // shard lock and releases it …
         let (etag, blob) = svc
             .with_repository(&id, |repo| {
-                let blob: Arc<[u8]> = repo.serve_index().unwrap().into();
+                let blob = repo.serve_package("tool").unwrap();
                 (repo.signed_index_etag().unwrap().to_string(), blob)
             })
             .unwrap();
         // … the tenant is deleted …
         svc.delete_repository(&id).unwrap();
         // … and only then does the reader reach the cache.
-        svc.hot().warm(&id, &etag, Slot::Index, blob);
+        svc.hot().warm(&id, &etag, "tool", "\"P1\"", blob);
         assert!(svc.hot().lookup(&id, |_| ()).is_none(), "entry leaked");
         let poll = api_request(
             "GET",
@@ -732,26 +717,8 @@ mod tests {
             &[("if-none-match", &etag)],
         );
         assert_eq!(svc.handle(&poll).status, 404, "a deleted tenant is gone");
-    }
-
-    #[test]
-    fn hot_blob_budget_reaches_the_serve_cache() {
-        let svc = service();
-        let (id1, _) = svc.create_repository(&policy_text()).unwrap();
-        let (id2, _) = svc.create_repository(&policy_text()).unwrap();
-        svc.refresh(&id1).unwrap();
-        svc.refresh(&id2).unwrap();
-        svc.set_hot_blob_budget(64);
-        let index = |id: &str| {
-            let path = format!("/v1/repositories/{id}/index");
-            svc.handle(&api_request("GET", &path, &[])).status
-        };
-        assert_eq!(index(&id1), 200);
-        assert_eq!(svc.event_counter("hot_blob_evictions").get(), 0);
-        // Two signed indexes do not fit in 64 bytes: warming tenant 2
-        // drops tenant 1's blobs (eviction order is tested in `hot`).
-        assert_eq!(index(&id2), 200);
-        assert_eq!(svc.event_counter("hot_blob_evictions").get(), 1);
+        let get = api_request("GET", &format!("/v1/repositories/{id}/packages/tool"), &[]);
+        assert_eq!(svc.handle(&get).status, 404, "its packages are gone");
     }
 
     #[test]

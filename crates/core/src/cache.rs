@@ -19,8 +19,8 @@
 //! bytes, keyed like every other holder — the indexes, the blob store,
 //! a replication push — by content hash. What it holds after a refresh
 //! or an install is exactly the hashes the two indexes pin
-//! (`TsrRepository::pins`). The serve-side `HotCache` keeps a bounded
-//! set of the same `Arc`s, the blob store keeps files only.
+//! (`TsrRepository::pins`). The serve-side `HotCache` aliases the `Arc`s
+//! of the versions it has served, the blob store keeps files only.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

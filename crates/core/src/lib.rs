@@ -49,7 +49,6 @@ pub mod service;
 pub use api::error_status;
 pub use cache::{PackageCache, SealedState};
 pub use error::CoreError;
-pub use hot::DEFAULT_HOT_BLOB_BUDGET;
 pub use parallel::{default_workers, parallel_map_ordered};
 pub use policy::{InitConfigFile, MirrorRef, Policy};
 pub use replica::ReplicatedState;

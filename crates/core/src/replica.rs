@@ -319,7 +319,7 @@ impl TsrService {
                 .unwrap_or_else(PoisonError::into_inner)
                 .insert(state.id.clone(), Arc::clone(&shard));
         }
-        self.hot().publish(&state.id, repo.signed_index_etag());
+        self.hot().publish(&state.id, repo.signed_index());
         self.metrics().cluster_replicated_applies.inc();
         Ok(repo.signed_index_etag().unwrap_or_default().to_string())
     }

@@ -54,11 +54,11 @@ pub struct TsrRepository {
     cache: PackageCache,
     upstream_index: Option<Index>,
     sanitized_index: Option<Index>,
-    signed_sanitized_index: Vec<u8>,
-    /// Quoted SHA-256 ETag of `signed_sanitized_index`, kept in lockstep
-    /// (computed once per refresh/restore so conditional GETs never hash
-    /// the blob per request). Empty ⟺ the signed index is empty.
-    signed_index_etag: String,
+    /// The signed sanitized index with its quoted SHA-256 ETag, made
+    /// together once per refresh/restore (so conditional GETs never hash
+    /// the blob per request); `None` before the first. The bytes are the
+    /// allocation the serve cache publishes.
+    signed_index: Option<(String, Arc<[u8]>)>,
     sanitizer: Option<PackageSanitizer>,
     /// The scripts of each original a refresh has read, by content hash:
     /// volatile in-enclave state, filled only from bytes hashed against
@@ -117,8 +117,7 @@ impl TsrRepository {
             cache: PackageCache::new(),
             upstream_index: None,
             sanitized_index: None,
-            signed_sanitized_index: Vec::new(),
-            signed_index_etag: String::new(),
+            signed_index: None,
             sanitizer: None,
             scripts: BTreeMap::new(),
             counter_id,
@@ -359,8 +358,7 @@ impl TsrRepository {
         report.rejected = self.rejected.clone();
 
         // 6. Sign the sanitized index with the TSR key.
-        self.signed_sanitized_index = sanitized_index.sign(&self.signing_key, &self.signer_name);
-        self.signed_index_etag = etag_of(&self.signed_sanitized_index);
+        self.signed_index = Some(self.sign(&sanitized_index));
         self.upstream_index = Some(new_index);
         self.sanitized_index = Some(sanitized_index);
         self.sanitizer = Some(sanitizer);
@@ -412,20 +410,35 @@ impl TsrRepository {
     ///
     /// [`CoreError::NotFound`] before the first refresh.
     pub fn serve_index(&self) -> Result<Vec<u8>, CoreError> {
-        if self.signed_sanitized_index.is_empty() {
-            return Err(CoreError::NotFound("repository not yet refreshed".into()));
+        match self.signed_index() {
+            Some((_, index)) => Ok(index.to_vec()),
+            None => Err(CoreError::NotFound("repository not yet refreshed".into())),
         }
-        Ok(self.signed_sanitized_index.clone())
     }
 
     /// The quoted strong ETag of the signed index (`None` before the
     /// first refresh). Computed once per refresh, not per request.
     pub fn signed_index_etag(&self) -> Option<&str> {
-        if self.signed_index_etag.is_empty() {
-            None
-        } else {
-            Some(&self.signed_index_etag)
-        }
+        self.signed_index().map(|(etag, _)| etag)
+    }
+
+    /// The signed index's `(ETag, bytes)`, as the serve cache publishes
+    /// them (`None` before the first refresh).
+    pub(crate) fn signed_index(&self) -> Option<(&str, &Arc<[u8]>)> {
+        self.signed_index
+            .as_ref()
+            .map(|(etag, index)| (&**etag, index))
+    }
+
+    /// Signs `index` with the TSR key: the quoted strong ETag
+    /// (SHA-256) of the signed bytes, and the bytes.
+    fn sign(&self, index: &Index) -> (String, Arc<[u8]>) {
+        let signed = index.sign(&self.signing_key, &self.signer_name);
+        let digest = tsr_crypto::Sha256::digest(&signed);
+        (
+            format!("\"{}\"", tsr_crypto::hex::to_hex(&digest)),
+            signed.into(),
+        )
     }
 
     /// Serves a sanitized package from the cache, verifying it against the
@@ -507,8 +520,7 @@ impl TsrRepository {
     pub fn crash(&mut self) {
         self.upstream_index = None;
         self.sanitized_index = None;
-        self.signed_sanitized_index.clear();
-        self.signed_index_etag.clear();
+        self.signed_index = None;
         self.sanitizer = None;
         self.scripts.clear();
         self.rejected.clear();
@@ -551,15 +563,7 @@ impl TsrRepository {
     pub(crate) fn restore_unsealed(&mut self, state: SealedState) -> Result<(), CoreError> {
         let (upstream, sanitized) = state.indexes()?;
         self.upstream_index = upstream;
-        self.signed_sanitized_index = match &sanitized {
-            Some(idx) => idx.sign(&self.signing_key, &self.signer_name),
-            None => Vec::new(),
-        };
-        self.signed_index_etag = if self.signed_sanitized_index.is_empty() {
-            String::new()
-        } else {
-            etag_of(&self.signed_sanitized_index)
-        };
+        self.signed_index = sanitized.as_ref().map(|idx| self.sign(idx));
         self.sanitized_index = sanitized;
         Ok(())
     }
@@ -580,14 +584,6 @@ pub(crate) fn pins_of(
         .chain(sanitized)
         .map(|e| e.content_hash.clone())
         .collect()
-}
-
-/// Quoted strong ETag over a byte blob.
-fn etag_of(bytes: &[u8]) -> String {
-    format!(
-        "\"{}\"",
-        tsr_crypto::hex::to_hex(&tsr_crypto::Sha256::digest(bytes))
-    )
 }
 
 #[cfg(test)]

@@ -222,7 +222,7 @@ impl TsrService {
                 next_id: AtomicU64::new(state.next_id.max(1)),
                 key_bits,
                 workers: AtomicUsize::new(default_workers()),
-                hot: HotCache::new(metrics.hot_blob_evictions.clone()),
+                hot: HotCache::default(),
                 metrics,
                 store: Mutex::new(engine),
                 obs_registry,
@@ -259,7 +259,7 @@ impl TsrService {
         });
         for ((id, _), repo) in tenants.iter().zip(recovered) {
             let repo = repo?;
-            svc.shared.hot.publish(id, repo.signed_index_etag());
+            svc.shared.hot.publish(id, repo.signed_index());
             svc.repos
                 .write()
                 .unwrap_or_else(PoisonError::into_inner)
@@ -543,7 +543,7 @@ impl TsrService {
         // (the TPM lock is already released; the two leaf locks are
         // never held together).
         self.commit(&image_of(&repo, seal_counter), false)?;
-        self.shared.hot.publish(id, repo.signed_index_etag());
+        self.shared.hot.publish(id, repo.signed_index());
         Ok(report)
     }
 
@@ -574,17 +574,10 @@ impl TsrService {
                 // A tenant deleted since the listing has nothing to restart.
                 let mut repo = live(&shard).ok()?;
                 let outcome = self.restart(&mut repo);
-                self.shared.hot.publish(&id, repo.signed_index_etag());
+                self.shared.hot.publish(&id, repo.signed_index());
                 Some((id, outcome))
             })
             .collect()
-    }
-
-    /// Sets the byte budget of the zero-copy hot-blob cache (default
-    /// [`crate::DEFAULT_HOT_BLOB_BUDGET`]). A smaller budget takes effect
-    /// at the next blob store; it does not synchronously shrink the cache.
-    pub fn set_hot_blob_budget(&self, bytes: usize) {
-        self.shared.hot.set_budget(bytes);
     }
 
     /// Fetches the signed sanitized index of a repository.
@@ -692,7 +685,7 @@ impl TsrService {
         let r = f(&mut repo);
         // `f` may have changed the index or the package cache (fault
         // injection); republish before the shard lock is released.
-        self.shared.hot.publish(id, repo.signed_index_etag());
+        self.shared.hot.publish(id, repo.signed_index());
         Ok(r)
     }
 

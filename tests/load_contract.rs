@@ -5,9 +5,11 @@
 //!    keep-alive clients sees zero errors and mostly 304s; the Prometheus
 //!    scrape parses, its histograms cohere and it counts every request
 //!    exactly once; every access-log line strict-parses with a unique id.
-//! 2. **304 lock bypass** — a conditional index GET answers `304 Not
-//!    Modified` from the serve cache while the repository shard lock is
-//!    *held by someone else*, proven by `index_not_modified_lock_free`.
+//! 2. **Index lock bypass** — a full index GET answers 200 with the
+//!    published ETag, and a conditional one `304 Not Modified`, from the
+//!    serve cache while the repository shard lock is *held by someone
+//!    else* since the refresh, proven by `index_hot_blob_hits` and
+//!    `index_not_modified_lock_free`.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -170,33 +172,36 @@ fn not_modified_is_served_without_repository_locks() {
     let world = start("lock-bypass");
     let client = tsr_wire::TsrClient::with_timeout(&world.base, Duration::from_secs(5));
 
-    // Prime: fetch the index once to learn the current ETag.
-    let (_bytes, etag) = client.index(&world.repo_id).expect("index fetch");
-    let etag = etag.expect("index responses carry an ETag");
-
-    // Occupy the repository shard lock on another thread, holding it
-    // until told to release — any code path that needs the shard lock
-    // now blocks.
+    // Occupy the repository shard lock on another thread right after the
+    // refresh, before any read, holding it until told to release — any
+    // code path that needs the shard lock now blocks.
     let (hold_tx, hold_rx) = std::sync::mpsc::channel::<()>();
-    let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
+    let (held_tx, held_rx) = std::sync::mpsc::channel::<String>();
     let svc = world.svc.clone();
     let repo_id = world.repo_id.clone();
     let holder = std::thread::spawn(move || {
-        svc.with_repository(&repo_id, |_repo| {
-            held_tx.send(()).expect("signal lock held");
+        svc.with_repository(&repo_id, |repo| {
+            let published = repo.signed_index_etag().expect("refreshed").to_string();
+            held_tx.send(published).expect("signal lock held");
             hold_rx.recv().expect("wait for release");
         })
         .expect("repository exists");
     });
-    held_rx.recv().expect("lock is held");
+    let published = held_rx.recv().expect("lock is held");
 
+    // Both GETs must complete (well before the 5 s client timeout) even
+    // though the shard lock is held: the refresh published the signed
+    // index, bytes and ETag, to the serve cache.
+    let hot_hits = world.svc.event_counter("index_hot_blob_hits");
+    let (bytes, etag) = client
+        .index(&world.repo_id)
+        .expect("full GET while shard lock is held");
+    assert_eq!(etag.as_deref(), Some(published.as_str()), "published ETag");
+    assert_eq!(hot_hits.get(), 1, "the full GET is a hot hit");
     let lock_free = world.svc.event_counter("index_not_modified_lock_free");
     let before = lock_free.get();
-    // The conditional GET must complete (well before the 5 s client
-    // timeout) even though the shard lock is held: the 304 comes from
-    // the serve cache.
     let fetch = client
-        .index_if_none_match(&world.repo_id, &etag)
+        .index_if_none_match(&world.repo_id, &published)
         .expect("conditional GET while shard lock is held");
     assert_eq!(
         fetch,
@@ -211,6 +216,8 @@ fn not_modified_is_served_without_repository_locks() {
 
     hold_tx.send(()).expect("release the lock");
     holder.join().expect("holder thread");
+    let index = world.svc.fetch_index(&world.repo_id).expect("signed index");
+    assert_eq!(bytes, index, "the published bytes are the repository's");
 
     // The counter is part of the public metrics surface.
     let metrics = client.metrics().expect("metrics fetch");
